@@ -22,12 +22,18 @@ pair of initial points could hide forever: both sides present at
 construction, the scan stops before reaching the pair's endpoint, and no
 subsequent insertion ever re-queries it.  The suffix-pointer representation
 in the paper's own remark has exactly this behaviour.)
+
+``L`` is stored as packed integers (``2 * pid + side``) in an ``array``,
+consumed from a head index: while a witness holds, ``L`` is never drained,
+so entries of points deleted meanwhile stay queued until the next drain
+drops them lazily.  Packed, they cost 8 bytes each and hold no objects for
+the garbage collector to walk on every full collection.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Optional, Sequence, Tuple
+from array import array
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.geometry.emptiness import EmptinessStructure
 
@@ -40,7 +46,7 @@ SIDE_B = 1
 class ABCPInstance:
     """Witness-pair maintenance for one pair of close core cells."""
 
-    __slots__ = ("_empt", "_coords", "witness", "_pending")
+    __slots__ = ("_empt", "_coords", "witness", "_pending", "_head")
 
     def __init__(
         self,
@@ -51,7 +57,9 @@ class ABCPInstance:
         self._empt = (empt_a, empt_b)
         self._coords = coords
         self.witness: Optional[Tuple[int, int]] = None
-        self._pending: Deque[Tuple[int, int]] = deque()
+        # L as 2 * pid + side; entries before _head are consumed.
+        self._pending = array("q")
+        self._head = 0
         # Initial scan over the smaller side (Lemma 3's O(min(|A|, |B|))).
         side = SIDE_A if len(empt_a) <= len(empt_b) else SIDE_B
         ids = list(self._empt[side].ids())
@@ -59,8 +67,7 @@ class ABCPInstance:
             proof = self._empt[1 - side].empty(coords(pid))
             if proof is not None:
                 self._set_witness(pid, side, proof)
-                for rest in ids[i + 1 :]:
-                    self._pending.append((rest, side))
+                self._pending.extend(2 * rest + side for rest in ids[i + 1 :])
                 break
 
     @property
@@ -73,18 +80,27 @@ class ABCPInstance:
     def _delist(self) -> None:
         """Drain owed queries until a witness appears or L empties."""
         pending = self._pending
-        while pending:
-            pid, side = pending.popleft()
+        head = self._head
+        while head < len(pending):
+            code = pending[head]
+            head += 1
+            pid, side = code >> 1, code & 1
             if pid not in self._empt[side]:
                 continue  # lazily dropped (point deleted or demoted)
             proof = self._empt[1 - side].empty(self._coords(pid))
             if proof is not None:
+                if 2 * head > len(pending):
+                    del pending[:head]  # amortized O(1): half is consumed
+                    head = 0
+                self._head = head
                 self._set_witness(pid, side, proof)
                 return
+        del pending[:]
+        self._head = 0
 
     def insert(self, pid: int, side: int) -> None:
         """A core point appeared on ``side`` (already in its emptiness)."""
-        self._pending.append((pid, side))
+        self._pending.append(2 * pid + side)
         if self.witness is None:
             self._delist()
 

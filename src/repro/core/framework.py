@@ -11,6 +11,7 @@ ones (Theorem 4).  Exact DBSCAN is obtained with ``rho = 0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import (
@@ -39,9 +40,15 @@ from repro.core.fragments import (
     resolve_fragment_cache,
 )
 from repro.errors import ConfigError, UnknownPointError
-from repro.kernels import any_within, as_point_array, box_sq_dists, bucket_by_cell
+from repro.kernels import (
+    any_within,
+    as_point_array,
+    ball_counts,
+    box_sq_dists,
+    bucket_by_cell,
+)
 from repro.core.grid import Cell, Grid
-from repro.geometry.points import Point, sq_dist
+from repro.geometry.points import Point
 
 
 @dataclass
@@ -132,7 +139,8 @@ class GridClusterer(SequentialBulkMixin):
     """Common state and the shared C-group-by query algorithm.
 
     Subclasses must maintain, per non-empty cell, an object exposing
-    ``points`` (dict id -> point), ``core`` (set of core ids),
+    ``points`` (a :class:`repro.core.pointblock.PointBlock`: the id ->
+    point map plus packed rows), ``core`` (set of core ids),
     ``emptiness`` (an EmptinessStructure over the core ids, or None) and
     ``neighbors`` (set of close non-empty cells), and must implement
     ``_cc_id`` plus the update entry points.  The inherited sequential
@@ -247,9 +255,13 @@ class GridClusterer(SequentialBulkMixin):
             raise ConfigError(
                 f"point has dimension {len(point)}, clusterer expects {self.dim}"
             )
+        pt = tuple(float(x) for x in point)
+        # Checked before the id is taken: a rejected point must leave no
+        # trace (grid.cell_of would only fail after the store changed).
+        if not all(map(math.isfinite, pt)):
+            raise ValueError("point contains non-finite coordinates (nan/inf)")
         pid = self._next_id
         self._next_id += 1
-        pt = tuple(float(x) for x in point)
         self._points[pid] = pt
         return pid, pt
 
@@ -708,9 +720,8 @@ class GridClusterer(SequentialBulkMixin):
             )
             if arr is None:
                 data = cells[cell]
-                arr = np.array(
-                    [data.points[pid] for pid in sorted(data.core)]  # type: ignore[attr-defined]
-                )
+                core = sorted(data.core)  # type: ignore[attr-defined]
+                arr = data.points.coords_of(core)  # type: ignore[attr-defined]
                 if cache is not None:
                     cache.set_core_coords(cell, arr)
                 else:
@@ -836,13 +847,10 @@ class GridClusterer(SequentialBulkMixin):
         for cell, data in self._cells.items():
             frag = cache.lookup_membership(cell)
             if frag is None:
-                pts = data.points  # type: ignore[attr-defined]
-                cell_ids = np.fromiter(
-                    pts.keys(), dtype=np.int64, count=len(pts)
-                )
-                coords = np.array(list(pts.values()), dtype=float)
+                block = data.points  # type: ignore[attr-defined]
+                # The fragment may keep the ids: copy them off the block.
                 frag = self._resolve_cell_fragment(
-                    cell, data, cell_ids, coords, None
+                    cell, data, block.ids.copy(), block.coords, None
                 )
                 cache.store_membership(cell, frag)
             for gcell, member_ids in frag.members.items():
@@ -915,40 +923,21 @@ class GridClusterer(SequentialBulkMixin):
             self._next_id += 1
         return base, arr, tuples
 
-    def _cell_coords(
-        self, cell: Cell, cache: Dict[Cell, np.ndarray]
-    ) -> np.ndarray:
-        """All point coordinates of one cell as an array (memoized)."""
-        arr = cache.get(cell)
-        if arr is None:
-            pts = self._cells[cell].points  # type: ignore[attr-defined]
-            arr = (
-                np.array(list(pts.values()), dtype=float)
-                if pts
-                else np.empty((0, self.dim))
-            )
-            cache[cell] = arr
-        return arr
+    def _cell_coords(self, cell: Cell) -> np.ndarray:
+        """All point coordinates of one cell (a view of its block)."""
+        return self._cells[cell].points.coords  # type: ignore[attr-defined]
 
-    def _neighborhood_coords(
-        self, cell: Cell, cache: Dict[Cell, np.ndarray]
-    ) -> np.ndarray:
+    def _neighborhood_coords(self, cell: Cell) -> np.ndarray:
         """Coordinates of every point in ``cell`` and its close cells."""
         data = self._cells[cell]
-        parts = [self._cell_coords(cell, cache)]
+        parts = [self._cell_coords(cell)]
         for other in sorted(data.neighbors):  # type: ignore[attr-defined]
-            parts.append(self._cell_coords(other, cache))
+            parts.append(self._cell_coords(other))
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
-    def _exact_ball_count(self, point: Point, data: object) -> int:
-        """Exact |B(point, eps)| over the cell of ``data`` and its neighbors."""
-        sq_eps = self._sq_eps
-        count = 0
-        for qp in data.points.values():  # type: ignore[attr-defined]
-            if sq_dist(qp, point) <= sq_eps:
-                count += 1
-        for other in data.neighbors:  # type: ignore[attr-defined]
-            for qp in self._cells[other].points.values():  # type: ignore[attr-defined]
-                if sq_dist(qp, point) <= sq_eps:
-                    count += 1
-        return count
+    def _exact_ball_count(self, point: Point, cell: Cell) -> int:
+        """Exact |B(point, eps)| over ``cell`` and its close cells."""
+        counts = ball_counts(
+            np.array([point]), self._neighborhood_coords(cell), self._sq_eps
+        )
+        return int(counts[0])

@@ -35,6 +35,7 @@ from repro.core.framework import GridClusterer
 from repro.errors import ConfigError, UnknownPointError
 from repro.kernels import ball_counts, bucket_by_cell
 from repro.core.grid import Cell
+from repro.core.pointblock import PointBlock
 from repro.geometry.emptiness import EmptinessStructure
 from repro.geometry.points import Point
 from repro.geometry.range_count import ApproximateRangeCounter
@@ -51,7 +52,7 @@ class _FullCell:
     )
 
     def __init__(self, dim: int, eps: float, rho: float) -> None:
-        self.points: Dict[int, Point] = {}
+        self.points = PointBlock(dim)
         self.core: Set[int] = set()
         self.noncore: Set[int] = set()
         self.counter = ApproximateRangeCounter(dim, eps, rho)
@@ -59,7 +60,7 @@ class _FullCell:
         self.neighbors: Set[Cell] = set()
         # Close core cell -> (shared aBCP instance, this cell's side in it).
         self.abcp: Dict[Cell, Tuple[ABCPInstance, int]] = {}
-        # Append-only promotion log (consumed by the SuffixABCP variant).
+        # Append-only promotion log (kept for the SuffixABCP variant only).
         self.core_log: list = []
 
 
@@ -88,6 +89,9 @@ class FullyDynamicClusterer(GridClusterer):
             raise ConfigError(
                 f"connectivity must be 'hdt' or 'naive', got {connectivity!r}"
             )
+        # Only the suffix variant reads the per-cell promotion logs; the
+        # others would just grow them by one entry per promotion forever.
+        self._log_promotions = bcp == "suffix"
         if bcp == "abcp":
             self._make_bcp = lambda a, b: ABCPInstance(
                 a.emptiness, b.emptiness, self._coords
@@ -134,7 +138,7 @@ class FullyDynamicClusterer(GridClusterer):
             data = _FullCell(self.dim, self.eps, self.rho)
             data.neighbors = self._discover_neighbors(cell)
             self._cells[cell] = data
-        data.points[pid] = pt
+        data.points.add(pid, pt)
         data.counter.insert(pid, pt)
         data.noncore.add(pid)
 
@@ -185,18 +189,18 @@ class FullyDynamicClusterer(GridClusterer):
                 data = _FullCell(self.dim, self.eps, self.rho)
                 data.neighbors = self._discover_neighbors(cell)
                 self._cells[cell] = data
-            items = [(base + i, tuples[i]) for i in idxs.tolist()]
-            for pid, pt in items:
-                data.points[pid] = pt
-                data.noncore.add(pid)
-            data.counter.insert_many(items)
+            rows = idxs.tolist()
+            pids = [base + i for i in rows]
+            pts = [tuples[i] for i in rows]
+            data.points.add_many(pids, pts, arr[idxs])
+            data.noncore.update(pids)
+            data.counter.insert_many(list(zip(pids, pts)))
 
         # The batch can only create core points in the affected cells and
         # their close cells; recheck every non-core point there.
         recheck = {cell for cell, _ in buckets}
         for cell, _ in buckets:
             recheck |= self._cells[cell].neighbors  # type: ignore[attr-defined]
-        coords_cache: Dict[Cell, np.ndarray] = {}
         for cell in sorted(recheck):
             data = self._cells[cell]  # type: ignore[assignment]
             if not data.noncore:
@@ -205,9 +209,10 @@ class FullyDynamicClusterer(GridClusterer):
                 self._promote_many(sorted(data.noncore), cell, data)
                 continue
             noncore = sorted(data.noncore)
-            q_arr = np.array([data.points[pid] for pid in noncore])
             counts = ball_counts(
-                q_arr, self._neighborhood_coords(cell, coords_cache), self._sq_eps
+                data.points.coords_of(noncore),
+                self._neighborhood_coords(cell),
+                self._sq_eps,
             )
             chosen = [
                 pid
@@ -249,7 +254,7 @@ class FullyDynamicClusterer(GridClusterer):
         for pid in pid_list:
             cell = self._grid.cell_of(self._points[pid])
             data: _FullCell = self._cells[cell]  # type: ignore[assignment]
-            del data.points[pid]
+            data.points.remove(pid)
             data.counter.delete(pid)
             if pid in data.core:
                 self._demote(pid, cell, data)
@@ -262,16 +267,16 @@ class FullyDynamicClusterer(GridClusterer):
         recheck = set(affected)
         for cell in affected:
             recheck |= self._cells[cell].neighbors  # type: ignore[attr-defined]
-        coords_cache: Dict[Cell, np.ndarray] = {}
         minpts = self.minpts
         for cell in sorted(recheck):
             data = self._cells[cell]  # type: ignore[assignment]
             if len(data.points) >= minpts or not data.core:
                 continue
             core = sorted(data.core)
-            q_arr = np.array([data.points[pid] for pid in core])
             counts = ball_counts(
-                q_arr, self._neighborhood_coords(cell, coords_cache), self._sq_eps
+                data.points.coords_of(core),
+                self._neighborhood_coords(cell),
+                self._sq_eps,
             )
             for pid, count in zip(core, counts.tolist()):
                 if count < minpts:
@@ -292,7 +297,7 @@ class FullyDynamicClusterer(GridClusterer):
         self._touch_cells((cell,))
         data: _FullCell = self._cells[cell]  # type: ignore[assignment]
         was_core = pid in data.core
-        del data.points[pid]
+        data.points.remove(pid)
         data.counter.delete(pid)
         if was_core:
             self._demote(pid, cell, data)
@@ -327,7 +332,8 @@ class FullyDynamicClusterer(GridClusterer):
         if data.emptiness is None:
             data.emptiness = EmptinessStructure(self.dim, self.eps, self.rho)
         data.emptiness.insert(pid, pt)
-        data.core_log.append(pid)
+        if self._log_promotions:
+            data.core_log.append(pid)
         if len(data.core) == 1:
             # The cell just became a core cell: join the grid graph and
             # open an aBCP instance against every close core cell.
@@ -366,7 +372,8 @@ class FullyDynamicClusterer(GridClusterer):
             data.noncore.discard(pid)
             data.core.add(pid)
         data.emptiness.insert_many([(pid, data.points[pid]) for pid in pids])
-        data.core_log.extend(pids)
+        if self._log_promotions:
+            data.core_log.extend(pids)
         if not was_core:
             self._conn.add_vertex(cell)
             for other in sorted(data.neighbors):

@@ -32,6 +32,7 @@ from repro.connectivity.union_find import UnionFind
 from repro.core.framework import GridClusterer
 from repro.kernels import any_within, ball_counts, box_sq_dists, bucket_by_cell
 from repro.core.grid import Cell
+from repro.core.pointblock import PointBlock
 from repro.geometry.emptiness import EmptinessStructure
 from repro.geometry.points import Point, sq_dist
 
@@ -41,8 +42,8 @@ class _SemiCell:
 
     __slots__ = ("points", "core", "noncore", "emptiness", "neighbors")
 
-    def __init__(self) -> None:
-        self.points: Dict[int, Point] = {}
+    def __init__(self, dim: int) -> None:
+        self.points = PointBlock(dim)
         self.core: Set[int] = set()
         self.noncore: Set[int] = set()
         self.emptiness: Optional[EmptinessStructure] = None
@@ -76,10 +77,10 @@ class SemiDynamicClusterer(GridClusterer):
         cell = self._grid.cell_of(pt)
         data = self._cells.get(cell)
         if data is None:
-            data = _SemiCell()
+            data = _SemiCell(self.dim)
             data.neighbors = self._discover_neighbors(cell)
             self._cells[cell] = data
-        data.points[pid] = pt
+        data.points.add(pid, pt)
         data.noncore.add(pid)
 
         if len(data.points) >= self.minpts:
@@ -89,7 +90,7 @@ class SemiDynamicClusterer(GridClusterer):
                     self._promote(other_pid, cell, data)
             self._promote(pid, cell, data)
         else:
-            count = self._exact_ball_count(pt, data)
+            count = self._exact_ball_count(pt, cell)
             if count >= self.minpts:
                 self._promote(pid, cell, data)
             else:
@@ -128,16 +129,15 @@ class SemiDynamicClusterer(GridClusterer):
         for cell, idxs in buckets:
             data: Optional[_SemiCell] = self._cells.get(cell)  # type: ignore[assignment]
             if data is None:
-                data = _SemiCell()
+                data = _SemiCell(self.dim)
                 data.neighbors = self._discover_neighbors(cell)
                 self._cells[cell] = data
-            for i in idxs.tolist():
-                pid = base + i
-                data.points[pid] = tuples[i]
-                data.noncore.add(pid)
+            rows = idxs.tolist()
+            pids = [base + i for i in rows]
+            data.points.add_many(pids, [tuples[i] for i in rows], arr[idxs])
+            data.noncore.update(pids)
             new_in_cell[cell] = idxs
 
-        coords_cache: Dict[Cell, np.ndarray] = {}
         promote_by_cell: Dict[Cell, List[int]] = {}
 
         # Core status of the new points: dense cells short-circuit (every
@@ -148,9 +148,7 @@ class SemiDynamicClusterer(GridClusterer):
             if len(data.points) >= minpts:
                 promote_by_cell[cell] = sorted(data.noncore)
                 continue
-            counts = ball_counts(
-                arr[idxs], self._neighborhood_coords(cell, coords_cache), sq_eps
-            )
+            counts = ball_counts(arr[idxs], self._neighborhood_coords(cell), sq_eps)
             chosen: List[int] = []
             for i, count in zip(idxs.tolist(), counts.tolist()):
                 if count >= minpts:
@@ -180,8 +178,11 @@ class SemiDynamicClusterer(GridClusterer):
             ]
             if not near_idxs:
                 continue
-            q_arr = np.array([data.points[pid] for pid in old_noncore])
-            bumps = ball_counts(q_arr, arr[np.concatenate(near_idxs)], sq_eps)
+            bumps = ball_counts(
+                data.points.coords_of(old_noncore),
+                arr[np.concatenate(near_idxs)],
+                sq_eps,
+            )
             for pid, bump in zip(old_noncore, bumps.tolist()):
                 if bump == 0:
                     continue
@@ -209,9 +210,7 @@ class SemiDynamicClusterer(GridClusterer):
         core_cache: Dict[Cell, np.ndarray] = {}
         for cell in sorted(promote_by_cell):
             data = self._cells[cell]  # type: ignore[assignment]
-            new_core = np.array(
-                [data.points[pid] for pid in promote_by_cell[cell]]
-            )
+            new_core = data.points.coords_of(promote_by_cell[cell])
             cell_lo, cell_hi = (np.array(b) for b in self._grid.cell_box(cell))
             for other in sorted(data.neighbors):
                 odata: _SemiCell = self._cells[other]  # type: ignore[assignment]
@@ -232,8 +231,8 @@ class SemiDynamicClusterer(GridClusterer):
                     continue
                 other_core = core_cache.get(other)
                 if other_core is None:
-                    other_core = core_cache[other] = np.array(
-                        [odata.points[pid] for pid in sorted(odata.core)]
+                    other_core = core_cache[other] = odata.points.coords_of(
+                        sorted(odata.core)
                     )
                 near_other = other_core[
                     box_sq_dists(other_core, cell_lo, cell_hi) <= sq_eps

@@ -1,9 +1,12 @@
-"""Internal-invariant checker for the fully-dynamic clusterer.
+"""Internal-invariant checker for the grid clusterers.
 
-``check_invariants`` audits a live :class:`FullyDynamicClusterer` against
-the structural invariants its correctness proof relies on:
+``check_invariants`` audits a live :class:`FullyDynamicClusterer` (or,
+for items 1-3, a :class:`SemiDynamicClusterer`) against the structural
+invariants its correctness proof relies on:
 
-1. the cell registry partitions the point store, with no empty cells;
+1. the cell registry partitions the point store, with no empty cells,
+   and each cell's packed block rows hold exactly its points (ids and
+   coordinates);
 2. neighbor caches are symmetric and match the grid's closeness predicate;
 3. per-cell core/non-core sets partition the cell and agree with the
    emptiness structure and range counter contents;
@@ -25,7 +28,7 @@ from repro.geometry.points import sq_dist
 
 
 def check_invariants(algo) -> List[str]:
-    """Audit a FullyDynamicClusterer's internal structures."""
+    """Audit a grid clusterer's internal structures."""
     problems: List[str] = []
     grid = algo._grid
     cells = algo._cells
@@ -41,6 +44,7 @@ def check_invariants(algo) -> List[str]:
                 problems.append(f"point {pid} in cell {cell} mismatches store")
             if grid.cell_of(pt) != cell:
                 problems.append(f"point {pid} stored in wrong cell {cell}")
+        problems.extend(_block_problems(cell, data.points))
     if seen != len(algo._points):
         problems.append(
             f"cells hold {seen} points but the store has {len(algo._points)}"
@@ -69,8 +73,8 @@ def check_invariants(algo) -> List[str]:
             problems.append(f"cell {cell}: core+noncore != points")
         if data.core & data.noncore:
             problems.append(f"cell {cell}: core and noncore overlap")
-        counter_ids = set(data.counter.ids())
-        if counter_ids != set(data.points):
+        counter = getattr(data, "counter", None)
+        if counter is not None and set(counter.ids()) != set(data.points):
             problems.append(f"cell {cell}: range counter out of sync")
         empt_ids = set(data.emptiness.ids()) if data.emptiness else set()
         if empt_ids != data.core:
@@ -78,6 +82,9 @@ def check_invariants(algo) -> List[str]:
                 f"cell {cell}: emptiness holds {sorted(empt_ids)} but core is "
                 f"{sorted(data.core)}"
             )
+
+    if not hasattr(algo, "_conn"):
+        return problems  # semi-dynamic: no aBCP instances, union-find CCs
 
     # --- 4. aBCP instances -------------------------------------------------
     sq_relaxed = algo._sq_relaxed
@@ -138,3 +145,16 @@ def check_invariants(algo) -> List[str]:
             f"CC structure has {algo._conn.edge_count} edges, expected {witnessed}"
         )
     return problems
+
+
+def _block_problems(cell, block) -> List[str]:
+    """Whether a cell's packed rows hold exactly its id -> point map."""
+    ids = block.ids.tolist()
+    if sorted(ids) != sorted(block):
+        return [f"cell {cell}: block ids {sorted(ids)} != points {sorted(block)}"]
+    rows = block.coords.tolist()
+    if any(tuple(row) != block[pid] for pid, row in zip(ids, rows)):
+        return [f"cell {cell}: block coordinates out of sync with its points"]
+    if block.coords_of(ids).tolist() != rows:
+        return [f"cell {cell}: block row index out of sync"]
+    return []

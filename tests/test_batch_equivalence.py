@@ -314,8 +314,14 @@ class TestBatchInputValidation:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected_without_mutation(self, bad):
         for cls in (SemiDynamicClusterer, FullyDynamicClusterer):
-            algo = cls(1.0, 3, dim=2)
-            with pytest.raises(ValueError, match="non-finite"):
-                algo.insert_many([(0.0, 0.0), (bad, 1.0)])
-            assert len(algo) == 0
-            assert algo.cell_count == 0
+            for insert in (
+                lambda algo: algo.insert_many([(0.0, 0.0), (bad, 1.0)]),
+                lambda algo: algo.insert((bad, 1.0)),
+            ):
+                algo = cls(1.0, 3, dim=2)
+                with pytest.raises(ValueError, match="non-finite"):
+                    insert(algo)
+                assert len(algo) == 0
+                assert algo.cell_count == 0
+                # No id was burnt: the next insert gets the first id.
+                assert algo.insert((0.0, 0.0)) == 0

@@ -64,6 +64,14 @@ class TestInvariantAuditor:
         algo._cells[cell].counter.delete(a)  # corrupt: counter loses a point
         assert any("counter" in p for p in check_invariants(algo))
 
+    def test_detects_block_desync(self):
+        algo = FullyDynamicClusterer(1.0, 3, rho=0.0, dim=2)
+        a = algo.insert((0.0, 0.0))
+        algo.insert((0.1, 0.0))
+        block = algo._cells[algo.cell_of(a)].points
+        block._coords[0] = (5.0, 5.0)  # corrupt: a row drifts from its point
+        assert any("block" in p for p in check_invariants(algo))
+
     def test_detects_stale_edge(self):
         algo = FullyDynamicClusterer(1.0, 2, rho=0.0, dim=1)
         ids = [algo.insert((float(i) * 0.5,)) for i in range(8)]
