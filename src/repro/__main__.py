@@ -27,11 +27,7 @@ from typing import List
 import repro.api
 from repro import kernels
 from repro.api import EngineConfig
-from repro.api.config import (
-    ALGORITHM_CHOICES,
-    SHARD_TRANSPORT_CHOICES,
-    UNSHARDEABLE_ALGORITHMS,
-)
+from repro.api.config import ALGORITHM_CHOICES, UNSHARDEABLE_ALGORITHMS
 from repro.errors import ConfigError
 from repro.workload.config import MINPTS, RHO, backend_name, eps_for
 from repro.workload.runner import run_workload_engine
@@ -55,7 +51,6 @@ def _engine_for(
     batch_size: int | None,
     shards: int | None = None,
     shard_executor: str | None = None,
-    shard_transport: str | None = None,
     shard_call_timeout: float | None = None,
     fragment_cache: bool | None = None,
     shard_workers: tuple | None = None,
@@ -77,7 +72,6 @@ def _engine_for(
         batch_size=batch_size,
         shards=shards,
         shard_executor=shard_executor if shards else None,
-        shard_transport=shard_transport if shards else None,
         shard_call_timeout=shard_call_timeout if shards else None,
         fragment_cache=fragment_cache,
         shard_workers=shard_workers if shards else None,
@@ -124,27 +118,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return 2
     kernels.use_backend(args.backend)
     eps = args.eps if args.eps is not None else eps_for(args.dim, args.eps_per_d)
-    # Resolve the shard transport once, up front, through the same config
-    # validation the engines will use — so a contradictory combination
-    # (e.g. --shard-transport with the serial executor) fails before any
-    # workload is generated, with the config's own message.
-    shard_transport = None
-    if args.shards:
-        try:
-            probe = EngineConfig(
-                eps=eps,
-                minpts=args.minpts,
-                dim=args.dim,
-                shards=args.shards,
-                shard_executor=args.shard_executor,
-                shard_transport=args.shard_transport,
-                shard_call_timeout=args.shard_call_timeout,
-                shard_workers=_worker_list(args.shard_workers),
-            )
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        shard_transport = probe.resolved_shard_transport
     fragment_cache = (
         None if args.fragment_cache is None else args.fragment_cache == "on"
     )
@@ -194,7 +167,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         },
         "backend": kernels.active_backend_name(),
         "shards": args.shards or 1,
-        "transport": shard_transport,
+        # Filled in by the first sharded engine: how its calls reach
+        # the shards.
+        "transport": None,
         "algorithms": [],
     }
     if sliding:
@@ -209,7 +184,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         shard_note = (
             f", sharded ({args.shards} shards, {args.shard_executor} "
-            f"executor, {shard_transport} transport)"
+            f"executor)"
             if args.shards
             else ""
         )
@@ -243,21 +218,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "reason": reason,
             })
             continue
-        engine = _engine_for(
-            name,
-            eps,
-            args.minpts,
-            args.rho,
-            args.dim,
-            args.backend,
-            args.batch_size,
-            args.shards,
-            args.shard_executor,
-            args.shard_transport,
-            args.shard_call_timeout,
-            fragment_cache,
-            _worker_list(args.shard_workers),
-        )
+        try:
+            engine = _engine_for(
+                name,
+                eps,
+                args.minpts,
+                args.rho,
+                args.dim,
+                args.backend,
+                args.batch_size,
+                args.shards,
+                args.shard_executor,
+                args.shard_call_timeout,
+                fragment_cache,
+                _worker_list(args.shard_workers),
+            )
+        except ConfigError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
+        if args.shards:
+            record["transport"] = engine.transport
         result = (
             run_sliding_window(engine, scenario)
             if sliding
@@ -373,7 +353,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             None,
             args.shards,
             args.shard_executor,
-            args.shard_transport,
             args.shard_call_timeout,
             None,
             _worker_list(args.shard_workers),
@@ -541,15 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
         "executor, one per shard (default: REPRO_SHARD_WORKERS)",
     )
     bench.add_argument(
-        "--shard-transport",
-        choices=SHARD_TRANSPORT_CHOICES,
-        default=None,
-        help="process-executor payload plane: pickle whole messages "
-        "through the pipe, or move bulk arrays through pooled shared "
-        "memory (default: REPRO_SHARD_TRANSPORT or shm); only "
-        "meaningful with --shards --shard-executor process",
-    )
-    bench.add_argument(
         "--shard-call-timeout",
         type=float,
         default=None,
@@ -557,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hung worker fails with ShardTimeoutError (and is restarted by "
         "the supervisor) instead of hanging the run (default: "
         "REPRO_SHARD_CALL_TIMEOUT or 60); only meaningful with --shards "
-        "--shard-executor process",
+        "--shard-executor process or tcp",
     )
     bench.add_argument(
         "--fragment-cache",
@@ -646,18 +616,11 @@ def build_parser() -> argparse.ArgumentParser:
         "executor, one per shard (default: REPRO_SHARD_WORKERS)",
     )
     serve.add_argument(
-        "--shard-transport",
-        choices=SHARD_TRANSPORT_CHOICES,
-        default=None,
-        help="process-executor payload plane; only meaningful with "
-        "--shards --shard-executor process",
-    )
-    serve.add_argument(
         "--shard-call-timeout",
         type=float,
         default=None,
         help="deadline in seconds on shard-worker replies; only "
-        "meaningful with --shards --shard-executor process",
+        "meaningful with --shards --shard-executor process or tcp",
     )
     serve.add_argument(
         "--window-capacity",

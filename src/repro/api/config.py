@@ -13,18 +13,12 @@ through this class a bad knob can never get that far.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 from repro import kernels
 from repro.errors import ConfigError
-
-
-def _available_start_methods() -> Tuple[str, ...]:
-    """Start methods this platform supports (fork is POSIX-only)."""
-    return tuple(multiprocessing.get_all_start_methods())
 
 #: Canonical algorithm names (the paper's Section 8 line-up, matching
 #: the CLI choices) plus the two family aliases ``semi`` / ``full``,
@@ -53,29 +47,11 @@ DEFAULT_FLUSH_THRESHOLD = 4096
 
 #: Shard executor choices (see :mod:`repro.shard.executors` and
 #: :mod:`repro.shard.rpc`): backends in-process and called inline, one
-#: worker process per shard, or one remote TCP worker per shard
-#: (``python -m repro shard-worker``, addressed via ``shard_workers``).
+#: spawned local worker process per shard, or one remote TCP worker per
+#: shard (``python -m repro shard-worker``, addressed via
+#: ``shard_workers``).  Local and remote workers speak the same framed
+#: stream protocol.
 SHARD_EXECUTOR_CHOICES = ("serial", "process", "tcp")
-
-#: Transports of the ``process`` shard executor (see
-#: :mod:`repro.shard.transport`): ``pickle`` ships whole call messages
-#: through the worker pipes, ``shm`` pickles only control metadata and
-#: moves bulk numpy payloads through pooled shared-memory segments
-#: (zero-copy on the receiving side).  Unset means *auto*: ``shm``
-#: whenever the process executor runs (overridable via the
-#: ``REPRO_SHARD_TRANSPORT`` environment variable); the serial executor
-#: calls backends inline and reports the pseudo-transport ``inline``.
-SHARD_TRANSPORT_CHOICES = ("pickle", "shm")
-
-#: Start methods a process-executor deployment may pin.  The default is
-#: ``spawn``: workers rebuild every backend from ``(config, index,
-#: count)`` in a fresh interpreter, so nothing of the parent's
-#: kernel-registry or jit state is inherited (under ``fork`` a worker
-#: silently starts from a snapshot of the parent).  Overridable via the
-#: ``REPRO_SHARD_START_METHOD`` environment variable.
-SHARD_START_METHOD_CHOICES = ("fork", "spawn", "forkserver")
-
-DEFAULT_SHARD_START_METHOD = "spawn"
 
 #: Default cell-ownership block side (in cells per axis) of a sharded
 #: deployment.  Larger blocks shrink the halo-replication factor
@@ -91,7 +67,7 @@ DEFAULT_SHARD_BLOCK = 16
 #: properties — rho-free vs. grid-less — and may diverge.)
 UNSHARDEABLE_ALGORITHMS = ("incdbscan", "recompute")
 
-#: Default deadline (seconds) on every process-executor reply wait.  A
+#: Default deadline (seconds) on every shard-worker reply wait.  A
 #: hung worker surfaces as :class:`repro.errors.ShardTimeoutError`
 #: within this bound instead of hanging the parent forever.  Generous
 #: enough that a legitimate big merge on a loaded machine never trips
@@ -151,10 +127,7 @@ class EngineConfig:
     (no ``shards``).  Setting ``shards`` makes :func:`repro.api.open`
     build a :class:`repro.shard.ShardedEngine` instead; ``shard_block``
     (ownership block side, in cells per axis), ``shard_executor``
-    (``serial`` / ``process`` / ``tcp``), ``shard_transport``
-    (``pickle`` / ``shm``; process executor only, default auto →
-    ``shm``), ``shard_start_method`` (``fork`` / ``spawn`` /
-    ``forkserver``, default ``spawn``) and ``shard_workers`` (one
+    (``serial`` / ``process`` / ``tcp``) and ``shard_workers`` (one
     ``host:port`` per shard; tcp executor only, env fallback
     ``REPRO_SHARD_WORKERS``) tune the deployment and require
     ``shards``.  ``shard_journal_snapshot_every`` bounds the
@@ -163,14 +136,14 @@ class EngineConfig:
     truncated (default
     :data:`DEFAULT_SHARD_JOURNAL_SNAPSHOT_EVERY`, env fallback
     ``REPRO_SHARD_JOURNAL_SNAPSHOT_EVERY``).
-    Fault tolerance of the process executor is tuned by
+    Fault tolerance of the process and tcp executors is tuned by
     ``shard_call_timeout`` (deadline in seconds on every reply wait,
     default :data:`DEFAULT_SHARD_CALL_TIMEOUT`),
     ``shard_max_restarts`` (the supervisor's per-shard
     respawn-and-replay budget, default
     :data:`DEFAULT_SHARD_MAX_RESTARTS`; 0 disables recovery) and
     ``shard_fault_plan`` (a :mod:`repro.shard.faults` injection plan
-    for chaos testing; process executor only) — all requiring
+    for chaos testing; process and tcp executors only) — all requiring
     ``shards``, each with an environment fallback
     (``REPRO_SHARD_CALL_TIMEOUT`` / ``REPRO_SHARD_MAX_RESTARTS`` /
     ``REPRO_FAULT_PLAN``).  ``fragment_cache`` toggles the incremental
@@ -202,8 +175,6 @@ class EngineConfig:
     shards: Optional[int] = None
     shard_block: Optional[int] = None
     shard_executor: Optional[str] = None
-    shard_transport: Optional[str] = None
-    shard_start_method: Optional[str] = None
     shard_call_timeout: Optional[float] = None
     shard_max_restarts: Optional[int] = None
     shard_fault_plan: Optional[str] = None
@@ -315,42 +286,6 @@ class EngineConfig:
                 raise ConfigError(
                     f"unknown shard_executor {self.shard_executor!r}; "
                     f"choices: {', '.join(SHARD_EXECUTOR_CHOICES)}"
-                )
-        if self.shard_transport is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_transport={self.shard_transport!r} requires "
-                    f"shards to be set"
-                )
-            if self.shard_transport not in SHARD_TRANSPORT_CHOICES:
-                raise ConfigError(
-                    f"unknown shard_transport {self.shard_transport!r}; "
-                    f"choices: {', '.join(SHARD_TRANSPORT_CHOICES)}"
-                )
-            if self.resolved_shard_executor != "process":
-                raise ConfigError(
-                    f"shard_transport={self.shard_transport!r} requires "
-                    f"shard_executor='process'; the serial executor calls "
-                    f"backends inline and the tcp executor frames calls "
-                    f"over its sockets"
-                )
-        if self.shard_start_method is not None:
-            if self.shards is None:
-                raise ConfigError(
-                    f"shard_start_method={self.shard_start_method!r} "
-                    f"requires shards to be set"
-                )
-            if self.shard_start_method not in SHARD_START_METHOD_CHOICES:
-                raise ConfigError(
-                    f"unknown shard_start_method "
-                    f"{self.shard_start_method!r}; choices: "
-                    f"{', '.join(SHARD_START_METHOD_CHOICES)}"
-                )
-            if self.shard_start_method not in _available_start_methods():
-                raise ConfigError(
-                    f"shard_start_method {self.shard_start_method!r} is "
-                    f"not available on this platform; available: "
-                    f"{', '.join(_available_start_methods())}"
                 )
         if self.shard_call_timeout is not None:
             if self.shards is None:
@@ -502,58 +437,8 @@ class EngineConfig:
         )
 
     @property
-    def resolved_shard_transport(self) -> str:
-        """The transport the deployment's executor actually moves calls on.
-
-        ``inline`` for the serial executor (backends are called
-        in-process; nothing is transported), ``tcp`` for the tcp
-        executor (length-prefixed socket frames; not tunable).  For the
-        process executor: the explicit ``shard_transport`` knob if set,
-        else the ``REPRO_SHARD_TRANSPORT`` environment variable, else
-        ``shm``.
-        """
-        if self.resolved_shard_executor == "tcp":
-            return "tcp"
-        if self.resolved_shard_executor != "process":
-            return "inline"
-        if self.shard_transport is not None:
-            return self.shard_transport
-        env = os.environ.get("REPRO_SHARD_TRANSPORT")
-        if env:
-            if env not in SHARD_TRANSPORT_CHOICES:
-                raise ConfigError(
-                    f"REPRO_SHARD_TRANSPORT={env!r} is not a valid shard "
-                    f"transport; choices: {', '.join(SHARD_TRANSPORT_CHOICES)}"
-                )
-            return env
-        return "shm"
-
-    @property
-    def resolved_shard_start_method(self) -> str:
-        """The multiprocessing start method the process executor pins.
-
-        The explicit ``shard_start_method`` knob if set, else the
-        ``REPRO_SHARD_START_METHOD`` environment variable, else
-        ``spawn`` — never the ambient platform default, which on POSIX
-        is ``fork`` and silently hands every worker a snapshot of the
-        parent's kernel-registry/jit state.
-        """
-        if self.shard_start_method is not None:
-            return self.shard_start_method
-        env = os.environ.get("REPRO_SHARD_START_METHOD")
-        if env:
-            if env not in _available_start_methods():
-                raise ConfigError(
-                    f"REPRO_SHARD_START_METHOD={env!r} is not an available "
-                    f"start method; available: "
-                    f"{', '.join(_available_start_methods())}"
-                )
-            return env
-        return DEFAULT_SHARD_START_METHOD
-
-    @property
     def resolved_shard_call_timeout(self) -> float:
-        """The deadline (seconds) on every process-executor reply wait.
+        """The deadline (seconds) on every shard-worker reply wait.
 
         The explicit ``shard_call_timeout`` knob if set, else the
         ``REPRO_SHARD_CALL_TIMEOUT`` environment variable, else

@@ -21,8 +21,9 @@ Open one through the front door with the ``shards`` knob::
 
 Layering: :class:`ShardTopology` (versioned ownership/halo geometry) →
 :class:`ShardBackend` (one engine behind its trust predicate) →
-executors (in-process serial, one worker process per shard, or one
-remote TCP worker per shard via :class:`TcpShardExecutor`) →
+executors (in-process serial, or :class:`StreamShardExecutor` — one
+spawned local worker or one remote TCP worker per shard, both on the
+one framed-stream wire of :mod:`repro.shard.rpc`) →
 :class:`ShardSupervisor` (per-shard journal with snapshot truncation,
 deadline-bounded calls, restart/reconnect with exact replay) →
 :class:`ShardRouter` (global id space, routing, boundary merge, online
@@ -41,17 +42,16 @@ from __future__ import annotations
 
 from repro.shard.backend import ShardBackend
 from repro.shard.engine import SHARD_EXECUTOR_CHOICES, ShardedEngine, ShardedStats
-from repro.shard.executors import ProcessShardExecutor, SerialShardExecutor
+from repro.shard.executors import SerialShardExecutor, StreamShardExecutor
 from repro.shard.faults import FaultRule, parse_fault_plan
 from repro.shard.router import ShardRouter
-from repro.shard.rpc import TcpShardExecutor, local_workers, serve_worker
+from repro.shard.rpc import local_workers, serve_worker
 from repro.shard.supervisor import ShardSupervisor
 from repro.shard.topology import ShardTopology
 
 __all__ = [
     "SHARD_EXECUTOR_CHOICES",
     "FaultRule",
-    "ProcessShardExecutor",
     "SerialShardExecutor",
     "ShardBackend",
     "ShardRouter",
@@ -59,7 +59,7 @@ __all__ = [
     "ShardTopology",
     "ShardedEngine",
     "ShardedStats",
-    "TcpShardExecutor",
+    "StreamShardExecutor",
     "local_workers",
     "parse_fault_plan",
     "serve_worker",

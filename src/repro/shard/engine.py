@@ -25,9 +25,8 @@ from repro.api.config import SHARD_EXECUTOR_CHOICES, EngineConfig
 from repro.api.engine import EngineStats, QueryOutcome, Snapshot
 from repro.core.fragments import FragmentCacheStats
 from repro.errors import ConfigError, UnknownPointError, UnsupportedOperationError
-from repro.shard.executors import ProcessShardExecutor, SerialShardExecutor
+from repro.shard.executors import SerialShardExecutor, StreamShardExecutor
 from repro.shard.router import ShardRouter
-from repro.shard.rpc import TcpShardExecutor
 from repro.shard.supervisor import ShardSupervisor
 
 
@@ -96,22 +95,16 @@ class ShardedEngine:
             )
         if config.backend is not None:
             kernels.use_backend(config.backend)
-        executor_kind = config.resolved_shard_executor
-        if executor_kind == "process":
-            # Worker processes can die or hang: supervise them with the
+        if config.resolved_shard_executor == "serial":
+            executor = SerialShardExecutor(config, config.shards)
+        else:
+            # Local and remote workers can die or hang (remote ones lose
+            # their network too): supervise them with the
             # journal/restart/replay layer (invisible to the router;
             # shard_max_restarts=0 makes every failure fatal again).
             executor = ShardSupervisor(
-                ProcessShardExecutor(config, config.shards), config
+                StreamShardExecutor(config, config.shards), config
             )
-        elif executor_kind == "tcp":
-            # Remote workers fail in the same ways local ones do (plus
-            # the network); the same supervisor reconnects and replays.
-            executor = ShardSupervisor(
-                TcpShardExecutor(config, config.shards), config
-            )
-        else:
-            executor = SerialShardExecutor(config, config.shards)
         return cls(
             config,
             ShardRouter(config, executor),
@@ -130,6 +123,11 @@ class ShardedEngine:
     @property
     def shards(self) -> int:
         return self._router.shard_count
+
+    @property
+    def transport(self) -> str:
+        """How calls reach the shards: ``inline`` (serial) or ``stream``."""
+        return self._router.executor.transport
 
     @property
     def epoch(self) -> int:

@@ -2,52 +2,47 @@
 
 The router never talks to a :class:`repro.shard.backend.ShardBackend`
 directly; it issues ``(method, args)`` calls through an executor, so
-single-process and multi-process deployments share one routing and one
-merge path:
+every deployment shares one routing and one merge path:
 
 * :class:`SerialShardExecutor` holds the backends in-process and runs
   calls inline — deterministic, debuggable, zero transport cost; the
   default, and what the differential-testing harness drives.
-* :class:`ProcessShardExecutor` hosts one backend per worker process
-  behind a pipe, overlapping the per-shard work of every fan-out
-  (:meth:`map` writes all requests before reading any reply).  Workers
-  rebuild their backend from ``(config, index, count)`` under a pinned,
-  configurable start method (default ``spawn``: nothing of the parent's
-  kernel-registry or jit state is inherited), so nothing but plain data
-  ever crosses the pipe.
+* :class:`StreamShardExecutor` puts one worker per shard behind a
+  framed byte stream (:mod:`repro.shard.rpc`) and overlaps the
+  per-shard work of every fan-out (:meth:`~StreamShardExecutor.map`
+  writes all requests before reading any reply).  It serves both
+  out-of-process executor kinds, which differ only in how a session
+  is opened and reopened: ``process`` spawns one local worker per
+  shard under the pinned ``spawn`` start method (nothing of the
+  parent's kernel-registry or jit state is inherited) on one end of a
+  ``socket.socketpair()``, and restarts it by reap and respawn;
+  ``tcp`` connects to externally launched workers at the
+  ``shard_workers`` addresses and restarts by reconnecting.  Either
+  way the worker rebuilds its backend from the session's hello, and
+  bulk numpy payloads cross as raw frames, never pickled.
 
-Calls cross the pipe through a :mod:`repro.shard.transport` channel
-pair.  Under the ``shm`` transport (the default for this executor) the
-channels frame each call: control metadata is pickled over the pipe,
-bulk numpy payloads move through pooled shared-memory segments and are
-rebuilt as read-only views — array bytes are never pickled in either
-direction.  Under the ``pickle`` transport the channels degrade to
-whole-message pickling, kept selectable so the two transports stay
-measurable side by side.
-
-**Failure surface.**  Every reply wait carries a ``poll``-based
-deadline (``EngineConfig.shard_call_timeout``), so a hung worker
-raises :class:`repro.errors.ShardTimeoutError` instead of hanging the
-parent, and a dead worker raises :class:`ShardWorkerLost` — both
-within bounded time, never a hang.  After either failure the shard's
-channel is *poisoned* (a late reply from a timed-out worker would
-desynchronize the request/reply alternation), and
-:meth:`ProcessShardExecutor.restart_worker` is the recovery primitive:
-kill the straggler (terminate, then SIGKILL if it does not land),
-respawn the worker on a fresh pipe under the pinned start method with
-a bumped *incarnation* number, and fail fast on its liveness ping.
-The :class:`repro.shard.supervisor.ShardSupervisor` drives it and
-replays the shard's journal to rebuild state exactly.
+**Failure surface.**  Every reply wait carries a deadline
+(``EngineConfig.shard_call_timeout``), so a hung worker raises
+:class:`repro.errors.ShardTimeoutError` instead of hanging the parent,
+and a dead worker or reset connection raises :class:`ShardWorkerLost`
+— both within bounded time, never a hang.  After either failure the
+shard's stream is *poisoned* (a late reply from a timed-out worker
+would desynchronize the request/reply alternation), and
+:meth:`StreamShardExecutor.restart_worker` is the recovery primitive:
+drop the session (a local straggler is terminated, then SIGKILLed if
+that does not land), open a fresh one with a bumped *incarnation*
+number, and fail fast on its liveness ping.  The
+:class:`repro.shard.supervisor.ShardSupervisor` drives it and replays
+the shard's journal to rebuild state exactly.
 
 Exceptions raised inside a backend propagate to the caller unchanged
 when they pickle; an exception that defeats pickling is relayed as a
 :class:`repro.errors.ReproError` carrying its ``repr`` and traceback
 text (instead of killing the send and surfacing as a fake worker
 death).  ``close()`` is idempotent — safe after double-close and after
-worker death, escalates terminate → kill on stragglers, releases every
-``Process`` object, and is guaranteed to unlink every shared-memory
-segment (they are all parent-owned).  Calls on a closed executor raise
-a clear :class:`ReproError` instead of tripping over torn-down
+worker death, escalates terminate → kill on local stragglers and
+releases every ``Process`` object.  Calls on a closed executor raise a
+clear :class:`ReproError` instead of tripping over torn-down
 internals.
 
 Fault injection (:mod:`repro.shard.faults`): when the config resolves
@@ -60,16 +55,20 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
+import pickle
+import socket
+import time
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.api.config import EngineConfig
-from repro.errors import ReproError, ShardTimeoutError
-from repro.shard.backend import BULK_CALLS, ShardBackend
-from repro.shard.faults import injector_for
-from repro.shard.transport import (
-    ParentChannel,
-    SegmentPool,
-    WorkerChannel,
+from repro.errors import ConfigError, ReproError, ShardTimeoutError
+from repro.shard.backend import ShardBackend
+from repro.shard.rpc import (
+    _frame_args,
+    _plant,
+    _serve_session,
+    read_message,
+    write_message,
 )
 
 #: One fan-out request: ``(method name, argument tuple)`` or ``None``
@@ -78,30 +77,42 @@ Call = Optional[Tuple[str, Tuple[Any, ...]]]
 
 #: Worker-isolation sentinel: workers report this through
 #: ``runtime_info``.  A parent that mutates it before opening a
-#: process executor must *not* see the mutation reflected back under
-#: the default ``spawn`` start method — the regression test that
-#: backends are rebuilt fresh in-worker.
+#: process executor must *not* see the mutation reflected back in a
+#: ``spawn``-started worker — the regression test that backends are
+#: rebuilt fresh in-worker.
 WORKER_SENTINEL = "fresh"
 
-#: Floor (seconds) on the deadline of a worker's *first* reply — the
-#: liveness ping after a spawn or respawn.  A cold ``spawn`` start
+#: The start method local workers are spawned under: a fresh
+#: interpreter per worker, never the platform default (``fork`` on
+#: POSIX), which would hand every worker a snapshot of the parent.
+START_METHOD = "spawn"
+
+#: Floor (seconds) on the deadline of a session's *first* replies — the
+#: hello's answer and the liveness ping.  A cold ``spawn`` start
 #: imports the whole package in the child, which can dwarf a tight
 #: ``shard_call_timeout`` tuned for steady-state calls; startup still
 #: fails in bounded time, just against a realistic bound.
 STARTUP_TIMEOUT_FLOOR = 60.0
 
-#: How long (seconds) each escalation step of a worker teardown waits:
-#: graceful join after the shutdown sentinel, join after terminate,
-#: join after kill.
+#: How long (seconds) each escalation step of a local worker teardown
+#: waits: graceful join after the bye, join after terminate, join after
+#: kill.
 REAP_TIMEOUT = 5.0
+
+#: How long a connect attempt to a remote worker sleeps before
+#: retrying, while the startup deadline has not expired.  Covers both
+#: cold start (worker still binding its listener) and recovery (a
+#: platform supervisor restarting a crashed worker on the same
+#: address).
+CONNECT_RETRY_SECONDS = 0.05
 
 
 class ShardWorkerLost(ReproError):
-    """A shard worker process died or its channel is unusable.
+    """A shard worker process died or its stream is unusable.
 
     Distinct from a *relayed* backend exception (the worker survives
-    those): this is the executor diagnosing the worker itself — pipe
-    closed on send, EOF mid-reply, or a poisoned channel after an
+    those): this is the executor diagnosing the worker itself — stream
+    closed on send, EOF mid-reply, or a poisoned stream after an
     earlier timeout.  Together with
     :class:`repro.errors.ShardTimeoutError` it is exactly the failure
     set the supervisor treats as recoverable by restart-and-replay.
@@ -137,7 +148,7 @@ class SerialShardExecutor:
     def restart_worker(self, shard_index: int) -> None:
         """Replace one backend with a freshly built (empty) one.
 
-        In-process twin of the process/tcp restart primitive, so the
+        In-process twin of the stream executor's restart primitive, so the
         supervisor's journal/snapshot recovery can be driven (and
         tested) without spawning anything.
         """
@@ -173,154 +184,183 @@ class SerialShardExecutor:
         self._backends = []
 
 
-def _shard_worker(
-    conn,
-    config: EngineConfig,
-    index: int,
-    count: int,
-    transport: str,
-    fault_spec: Optional[str] = None,
-    incarnation: int = 0,
-) -> None:
-    """Worker loop: build the backend, then serve calls until ``None``.
+class StreamShardExecutor:
+    """One worker per shard behind a framed stream, fan-outs overlapped.
 
-    ``incarnation`` counts respawns of this shard's worker (0 for the
-    original); the fault injector uses it so a plan's rules arm, by
-    default, only in the incarnation that has not yet crashed — which
-    is what keeps journal replay from re-triggering the fault it is
-    recovering from.
+    ``shard_executor="process"`` spawns the workers here, one local
+    process per shard on one end of a socketpair; ``"tcp"`` reaches
+    externally launched workers at the ``shard_workers`` addresses.
+    Opening a session (:meth:`_open_session`) and reaping a local
+    process (:meth:`_reap`) are the only steps that tell the two apart;
+    the call, failure and restart surface is shared.
     """
-    backend = ShardBackend(config, index, count)
-    channel = WorkerChannel(conn, BULK_CALLS, shm_enabled=(transport == "shm"))
-    injector = injector_for(fault_spec, index, incarnation)
-    while True:
-        try:
-            request = channel.recv_call()
-        except EOFError:
-            break
-        if request is None:
-            break
-        method, args = request
-        if injector is not None:
-            try:
-                injector.fire(method)
-            except BaseException as exc:  # noqa: BLE001 - injected 'error'
-                try:
-                    channel.send_error(exc)
-                except (BrokenPipeError, OSError):
-                    break
-                continue
-        try:
-            result = getattr(backend, method)(*args)
-        except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            try:
-                channel.send_error(exc)
-            except (BrokenPipeError, OSError):
-                break
-            continue
-        try:
-            channel.send_ok(method, result)
-        except (BrokenPipeError, OSError, EOFError):
-            break
-        except Exception as exc:  # noqa: BLE001 - reply framing failed
-            try:
-                channel.send_error(
-                    ReproError(
-                        f"shard {index} failed to frame a reply for "
-                        f"{method!r}: {exc!r}"
-                    )
-                )
-            except (BrokenPipeError, OSError):
-                break
-    # Release the last request's payload views before detaching: a view
-    # is an exported pointer into the segment mmap, and the mmap cannot
-    # close underneath one.
-    request = args = result = None  # noqa: F841
-    channel.close()
-    backend.close()
-    conn.close()
-
-
-class ProcessShardExecutor:
-    """One dedicated worker process per shard, fan-outs overlapped."""
 
     def __init__(self, config: EngineConfig, shard_count: int) -> None:
         self.shard_count = shard_count
-        self.transport = config.resolved_shard_transport
-        self.start_method = config.resolved_shard_start_method
+        self.transport = "stream"
         self.call_timeout = config.resolved_shard_call_timeout
         self._fault_spec = config.resolved_shard_fault_plan
         self._config = config
-        self._ctx = mp.get_context(self.start_method)
-        self._pool: Optional[SegmentPool] = (
-            SegmentPool() if self.transport == "shm" else None
-        )
-        self._channels: List[Optional[ParentChannel]] = [None] * shard_count
+        self._addresses: Optional[Tuple[Tuple[str, int], ...]] = None
+        if config.resolved_shard_executor == "tcp":
+            self._addresses = config.resolved_shard_workers
+            if len(self._addresses) != shard_count:
+                raise ConfigError(
+                    f"{len(self._addresses)} shard worker addresses for "
+                    f"{shard_count} shards; exactly one worker per shard "
+                    f"is required"
+                )
+        #: ``spawn`` for local workers; remote workers are started by
+        #: whoever launched them, so the executor has no start method.
+        self.start_method = START_METHOD if self._addresses is None else None
+        self._socks: List[Optional[socket.socket]] = [None] * shard_count
         self._procs: List[Optional[mp.process.BaseProcess]] = [None] * shard_count
         self._incarnations: List[int] = [0] * shard_count
-        #: A poisoned channel saw a timeout or EOF: its request/reply
+        #: A poisoned stream saw a timeout or EOF: its request/reply
         #: alternation can no longer be trusted (a late reply may still
         #: arrive), so sends fail until restart_worker replaces it.
         self._poisoned: List[bool] = [False] * shard_count
         self._closed = False
         atexit.register(self.close)
-        # Fail construction fast (bad config, import error in a worker)
-        # instead of on the first routed batch — and if it does fail,
-        # tear down whatever was already started: without the close()
-        # here, the started workers and the segment pool would leak
-        # until interpreter exit.
+        # Fail construction fast (bad config, import error in a worker,
+        # unreachable address) instead of on the first routed batch —
+        # and if it does fail, tear down whatever was already started.
+        # Every session is opened before any is awaited, so cold local
+        # starts overlap.
         try:
             for index in range(shard_count):
-                self._spawn(index)
+                self._open_session(index)
             for index in range(shard_count):
-                self._send(index, "ping", ())
-            for index in range(shard_count):
-                self._recv(index, timeout=self._startup_timeout())
+                self._await_ready(index)
         except BaseException:
             self.close()
             raise
 
     # ------------------------------------------------------------------
-    # Worker lifecycle
+    # Session lifecycle
     # ------------------------------------------------------------------
 
     def _startup_timeout(self) -> float:
         return max(self.call_timeout, STARTUP_TIMEOUT_FLOOR)
 
-    def _spawn(self, index: int) -> None:
-        """Start shard ``index``'s worker on a fresh pipe."""
-        parent, child = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_shard_worker,
-            args=(
-                child,
-                self._config,
-                index,
-                self.shard_count,
-                self.transport,
-                self._fault_spec,
-                self._incarnations[index],
-            ),
-            daemon=True,
-            name=f"repro-shard-{index}",
-        )
-        proc.start()
-        child.close()
-        self._channels[index] = ParentChannel(parent, self._pool, BULK_CALLS)
-        self._procs[index] = proc
-        self._poisoned[index] = False
+    def _open_session(self, index: int) -> None:
+        """Open shard ``index``'s stream and send the session hello.
 
-    def _reap(self, proc, graceful: bool) -> None:
-        """Make one worker process fully gone and release its handle.
-
-        ``graceful`` first waits for a clean exit (the shutdown
-        sentinel was sent); then terminate, then — for a worker that
-        ignores SIGTERM, e.g. one that is SIGSTOP'd — SIGKILL.  The
-        final ``proc.close()`` releases the ``Process`` object so a
-        long-lived parent opening many executors leaks nothing.
+        Local: spawn a worker running :func:`repro.shard.rpc._serve_session`
+        on one end of a fresh socketpair.  Remote: connect to the
+        worker's listener.
         """
+        if self._addresses is None:
+            sock, child = socket.socketpair()
+            self._socks[index] = sock
+            proc = mp.get_context(START_METHOD).Process(
+                target=_serve_session,
+                args=(child,),
+                daemon=True,
+                name=f"repro-shard-{index}",
+            )
+            try:
+                proc.start()
+            finally:
+                child.close()
+            self._procs[index] = proc
+        else:
+            sock = self._connect(index)
+            self._socks[index] = sock
+        self._poisoned[index] = False
+        try:
+            write_message(
+                sock,
+                (
+                    "hello",
+                    self._config,
+                    index,
+                    self.shard_count,
+                    self._incarnations[index],
+                    self._fault_spec,
+                ),
+                [],
+            )
+        except OSError as exc:
+            self._poisoned[index] = True
+            raise ShardWorkerLost(
+                f"shard worker {index} closed its stream before the hello"
+            ) from exc
+
+    def _connect(self, index: int) -> socket.socket:
+        """Connect to remote shard ``index``'s listener.
+
+        Retries within the startup deadline, so both a worker that is
+        still binding its listener and one being restarted by its
+        platform supervisor are tolerated.
+        """
+        host, port = self._addresses[index]
+        deadline = time.monotonic() + self._startup_timeout()
+        while True:
+            try:
+                sock = socket.create_connection(
+                    (host, port), timeout=max(deadline - time.monotonic(), 0.001)
+                )
+                break
+            except OSError as exc:
+                if time.monotonic() >= deadline:
+                    raise ShardWorkerLost(
+                        f"cannot reach shard worker {index} at "
+                        f"{host}:{port} within {self._startup_timeout():g}s; "
+                        f"is 'python -m repro shard-worker' running there?"
+                    ) from exc
+                time.sleep(CONNECT_RETRY_SECONDS)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    def _await_ready(self, index: int) -> None:
+        """Wait for the hello's answer, then for a liveness ping.
+
+        Both waits run against the startup deadline: a cold ``spawn``
+        start imports the whole package before it can answer.
+        """
+        timeout = self._startup_timeout()
+        try:
+            self._recv(index, timeout)
+            self._send(index, "ping", ())
+            self._recv(index, timeout)
+        except pickle.UnpicklingError as exc:
+            self._poisoned[index] = True
+            raise ShardWorkerLost(
+                f"shard worker {index} did not complete the session "
+                f"handshake"
+            ) from exc
+
+    def _drop_stream(self, index: int, graceful: bool) -> None:
+        """Close shard ``index``'s stream, saying bye first if healthy."""
+        sock = self._socks[index]
+        if sock is None:
+            return
+        self._socks[index] = None
+        if graceful:
+            try:
+                sock.settimeout(1.0)
+                write_message(sock, ("bye",), [])
+            except OSError:
+                pass
+        try:
+            sock.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+    def _reap(self, index: int, graceful: bool) -> None:
+        """Make shard ``index``'s local worker fully gone (no-op if remote).
+
+        ``graceful`` first waits for a clean exit (the bye was sent);
+        then terminate, then — for a worker that ignores SIGTERM, e.g.
+        one that is SIGSTOP'd — SIGKILL.  The final ``proc.close()``
+        releases the ``Process`` object so a long-lived parent opening
+        many executors leaks nothing.
+        """
+        proc = self._procs[index]
         if proc is None:
             return
+        self._procs[index] = None
         if graceful:
             proc.join(timeout=REAP_TIMEOUT)
         if proc.is_alive():
@@ -335,35 +375,27 @@ class ProcessShardExecutor:
             pass
 
     def restart_worker(self, index: int) -> None:
-        """Kill shard ``index``'s worker and respawn it, state empty.
+        """Replace shard ``index``'s session with a fresh one, state empty.
 
         The recovery primitive the supervisor drives after a death or
-        timeout: the straggler is reaped (terminate, then kill), its
-        channel's segment leases return to the pool, and a fresh
-        worker starts on a fresh pipe with a bumped incarnation
-        number.  Fails fast — within the startup deadline — if the
-        respawned worker does not answer its liveness ping.  The new
-        worker's backend is *empty*; rebuilding its state is the
-        caller's job (the supervisor replays its journal).
+        timeout: the stream is dropped, a local straggler is reaped
+        (terminate, then kill — a hung worker is not waited for), and
+        a fresh session opens with a bumped incarnation number — a
+        respawned local worker, or a reconnect to the remote listener.
+        Fails fast — within the startup deadline — if the new session
+        does not answer its liveness ping.  The new backend is *empty*;
+        rebuilding its state is the caller's job (the supervisor
+        restores the last snapshot and replays its journal).
         """
         self._ensure_open()
-        self._reap(self._procs[index], graceful=False)
-        self._procs[index] = None
-        channel = self._channels[index]
-        if channel is not None:
-            try:
-                channel.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            channel.release_leases()
-            self._channels[index] = None
+        self._drop_stream(index, graceful=False)
+        self._reap(index, graceful=False)
         self._incarnations[index] += 1
-        self._spawn(index)
-        self._send(index, "ping", ())
-        self._recv(index, timeout=self._startup_timeout())
+        self._open_session(index)
+        self._await_ready(index)
 
     def restart_count(self, index: int) -> int:
-        """How many times shard ``index``'s worker has been respawned."""
+        """How many times shard ``index``'s session has been reopened."""
         return self._incarnations[index]
 
     # ------------------------------------------------------------------
@@ -373,35 +405,50 @@ class ProcessShardExecutor:
     def _ensure_open(self) -> None:
         if self._closed:
             raise ReproError(
-                "this process shard executor is closed; calls after "
-                "close() are a lifecycle bug in the caller"
+                "this shard executor is closed; calls after close() are "
+                "a lifecycle bug in the caller"
             )
 
     def _send(self, shard_index: int, method: str, args: Tuple) -> None:
         if self._poisoned[shard_index]:
             raise ShardWorkerLost(
-                f"shard worker {shard_index}'s channel is poisoned by an "
+                f"shard worker {shard_index}'s stream is poisoned by an "
                 f"earlier timeout or death; the worker must be restarted "
                 f"before it can serve calls again"
             )
+        sock = self._socks[shard_index]
+        control, arrays = _frame_args(method, args)
         try:
-            self._channels[shard_index].send_call(method, args)
-        except (BrokenPipeError, OSError) as exc:
+            # Bound the send too: a worker that stopped reading (hung
+            # with full buffers) must not block the parent forever.
+            sock.settimeout(self.call_timeout)
+            write_message(sock, ("call", method, control), arrays)
+        except socket.timeout as exc:
+            self._poisoned[shard_index] = True
+            raise ShardTimeoutError(
+                f"shard worker {shard_index} did not accept a call within "
+                f"{self.call_timeout:g}s (shard_call_timeout)"
+            ) from exc
+        except OSError as exc:
             self._poisoned[shard_index] = True
             raise ShardWorkerLost(
-                f"shard worker {shard_index} is gone (pipe closed)"
+                f"shard worker {shard_index} is gone (stream closed)"
             ) from exc
 
     def _recv(self, shard_index: int, timeout: Optional[float] = None) -> Any:
         if timeout is None:
             timeout = self.call_timeout
         try:
-            return self._channels[shard_index].recv_reply(timeout=timeout)
+            header, views = read_message(
+                self._socks[shard_index], deadline=time.monotonic() + timeout
+            )
         except EOFError as exc:
             self._poisoned[shard_index] = True
             raise ShardWorkerLost(
                 f"shard worker {shard_index} died mid-call"
             ) from exc
+        # ShardTimeoutError subclasses TimeoutError (an OSError), so it
+        # must be told apart before the generic stream failures.
         except ShardTimeoutError as exc:
             self._poisoned[shard_index] = True
             raise ShardTimeoutError(
@@ -409,6 +456,14 @@ class ProcessShardExecutor:
                 f"{timeout:g}s (shard_call_timeout); the worker is hung "
                 f"and must be restarted before it can serve calls again"
             ) from exc
+        except OSError as exc:
+            self._poisoned[shard_index] = True
+            raise ShardWorkerLost(
+                f"shard worker {shard_index}'s stream failed mid-call"
+            ) from exc
+        if header[0] == "error":
+            raise header[1]
+        return _plant(header[1], views)
 
     def call(self, shard_index: int, method: str, *args) -> Any:
         self._ensure_open()
@@ -419,8 +474,8 @@ class ProcessShardExecutor:
         """One outcome per shard: results and *failures*, never a raise.
 
         The supervised fan-out primitive: every involved shard's reply
-        is drained (leaving one in a pipe would desynchronize the next
-        round), and a shard's failure comes back as the exception
+        is drained (leaving one in a stream would desynchronize the
+        next round), and a shard's failure comes back as the exception
         object in its slot instead of aborting the whole round — so
         the supervisor can recover exactly the shards that failed and
         keep every healthy shard's result.
@@ -462,13 +517,14 @@ class ProcessShardExecutor:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down workers and unlink every segment; idempotent.
+        """End every session and reap every local worker; idempotent.
 
-        Healthy workers get the shutdown sentinel and a graceful join;
-        stragglers are escalated terminate → kill, and every
-        ``Process`` object is released (``proc.close()``) so nothing
-        leaks in long-lived parents — even after worker crashes or
-        hangs.
+        Healthy workers get a bye (and, if local, a graceful join);
+        poisoned local stragglers go straight to terminate → kill, and
+        every ``Process`` object is released so nothing leaks in
+        long-lived parents — even after worker crashes or hangs.
+        Remote workers live on: they are external processes serving
+        one session after another.
         """
         if self._closed:
             return
@@ -476,30 +532,12 @@ class ProcessShardExecutor:
         # Drop the atexit reference so closed executors can be GC'd in
         # long-lived processes that open many sharded engines.
         atexit.unregister(self.close)
-        for index, channel in enumerate(self._channels):
-            if channel is None or self._poisoned[index]:
-                continue
-            try:
-                channel.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for index, proc in enumerate(self._procs):
-            # A poisoned shard's worker is hung or dead: skip the
-            # graceful wait and go straight to terminate/kill.
-            self._reap(proc, graceful=not self._poisoned[index])
-            self._procs[index] = None
-        for index, channel in enumerate(self._channels):
-            if channel is None:
-                continue
-            try:
-                channel.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            self._channels[index] = None
-        # Last: every segment is parent-owned, so this unlinks the whole
-        # payload plane even if workers crashed mid-call.
-        if self._pool is not None:
-            self._pool.close()
+        # Every bye goes out before any join, so workers exit in
+        # parallel.
+        for index in range(self.shard_count):
+            self._drop_stream(index, graceful=not self._poisoned[index])
+        for index in range(self.shard_count):
+            self._reap(index, graceful=not self._poisoned[index])
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

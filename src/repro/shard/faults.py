@@ -3,7 +3,7 @@
 The chaos half of the fault-tolerance layer: a **fault plan** is a
 declarative schedule of failures — *crash this worker at its 2nd
 ``ingest`` call*, *hang ``merge_state`` on shard 1* — that workers
-consult inside :func:`repro.shard.executors._shard_worker`.  Plans make
+consult inside :func:`repro.shard.rpc._serve_session`.  Plans make
 worker failure a first-class, reproducible test input, so the recovery
 machinery (deadline-bounded calls, supervised restart, journal replay)
 is proven against *injected* deaths and hangs rather than hand-rolled
@@ -18,7 +18,8 @@ A plan is a ``;``-separated list of rules, each::
 
   - ``crash``  — the worker process exits immediately
     (``os._exit``), simulating a segfault/OOM kill; the parent sees
-    EOF on the pipe.
+    EOF on the stream.  A listener-served (tcp) worker aborts only the
+    session instead.
   - ``hang``   — the worker sleeps (default: effectively forever),
     simulating a deadlock; the parent sees a
     :class:`repro.errors.ShardTimeoutError` once the call deadline
@@ -222,9 +223,10 @@ class FaultInjector:
         since timed out); ``error`` raises — the worker loop relays it
         like any backend exception.
 
-        ``on_crash`` overrides what a ``crash`` rule does: process
-        workers die outright (``os._exit``), while a tcp worker passes
-        a callback that aborts only the serving session — modeling a
+        ``on_crash`` overrides what a ``crash`` rule does: local
+        workers die outright (``os._exit``), while a listener-served
+        (tcp) worker passes a callback that aborts only the serving
+        session — modeling a
         platform supervisor that restarts the worker on the same
         address while the listener survives.  The callback must not
         return; if it does, the process exit runs anyway.

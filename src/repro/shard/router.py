@@ -170,9 +170,8 @@ class ShardRouter:
             # Concatenate-and-sort restores arrival order within the
             # shard's slice — the deterministic replay order every
             # engine applies.  The slice ships as an (n, dim) float64
-            # array, the declared bulk form (BULK_CALLS): the shm
-            # transport moves it through shared memory untouched, and
-            # even the pickle transport ships one buffer instead of n
+            # array, the declared bulk form (BULK_CALLS): the shard
+            # wire streams it as one raw buffer instead of n pickled
             # python tuples.
             order = np.sort(np.concatenate(parts))
             orders[shard] = order
@@ -191,8 +190,8 @@ class ShardRouter:
                 continue
             g2l = self._global_to_local[shard]
             l2g = self._local_to_global[shard]
-            # Backends reply with an int64 id array (possibly a view
-            # into a transport segment): normalize to python ints here,
+            # Backends reply with an int64 id array (a read-only view
+            # over a receive buffer): normalize to python ints here,
             # where the ids enter long-lived registries.
             shard_ids = local_ids[shard].tolist()
             for i, local_pid in zip(order.tolist(), shard_ids):

@@ -1,46 +1,48 @@
-"""Distributed TCP shard executor: one remote worker process per shard.
+"""The shard wire: one framed byte stream between executor and worker.
 
-The ROADMAP's "millions-of-users" step: the executor interface is tiny
-(``call`` / ``map`` / ``map_scatter`` over plain data), so this module
-turns the PR 5–7 process-pool deployment into a genuinely distributed
-one by speaking the same call surface over sockets.  Workers are
-launched out-of-band (``python -m repro shard-worker --port P``, one
-per shard, on any host) and the parent connects with
-``shard_executor="tcp"`` plus ``shard_workers=["host:port", ...]``.
+Every out-of-process shard deployment speaks this protocol, driven by
+:class:`repro.shard.executors.StreamShardExecutor`.  Only the stream
+underneath differs:
 
-**Wire format.**  Every message is a length-prefixed (8-byte
-big-endian) pickled *control frame* followed by one raw *payload
-frame* per bulk numpy array::
+* ``shard_executor="process"`` — the executor spawns one local worker
+  per shard and hands it one end of a ``socket.socketpair()``;
+* ``shard_executor="tcp"`` — workers are launched out-of-band
+  (``python -m repro shard-worker --port P``, one per shard, on any
+  host) and the executor connects to the ``shard_workers`` addresses.
+
+Both kinds of worker run the same loop, :func:`_serve_session`.
+
+**Wire format.**  Every message is two 8-byte big-endian lengths, a
+pickled *control frame* and one raw *payload* holding every bulk
+numpy array's bytes back to back::
 
     parent -> worker:  ("hello", config, index, count, incarnation, fault_spec)
                        ("call", method, control)
                        ("bye",)
-    worker -> parent:  ("ready", index)
-                       ("ok", control)
+    worker -> parent:  ("ok", control)        # the hello is answered ("ok", index)
                        ("error", exception)
 
-The control/payload split reuses the exact descriptor framing of the
-shm transport (:mod:`repro.shard.transport`): the declared bulk
-positions of :data:`repro.shard.backend.BULK_CALLS` are walked with
-``_extract``, every ndarray is replaced by a ``_Ref`` placeholder and
-its ``(dtype, shape)`` descriptor rides the control frame; the bytes
-themselves are streamed raw — **array data is never pickled in either
+Which calls carry bulk payloads is declared
+(:data:`repro.shard.backend.BULK_CALLS`), never guessed: framing walks
+only the declared argument positions and results with
+:func:`_extract`, which replaces every ndarray with a :class:`_Ref`
+placeholder and collects it; the arrays' ``(dtype, shape)``
+descriptors ride the control frame and their bytes are streamed raw,
+back to back in one payload — **array data is never pickled in either
 direction** — and rebuilt on receipt as read-only views over the
-received buffers.
+message's receive buffer, which they keep alive: a view stays valid
+for as long as the caller holds it.
 
-**Failure surface** mirrors :class:`ProcessShardExecutor` exactly:
-every reply wait is deadline-bounded (``shard_call_timeout`` →
-:class:`repro.errors.ShardTimeoutError`), a dead worker or reset
-connection raises :class:`ShardWorkerLost`, and either failure poisons
-the shard's connection until :meth:`TcpShardExecutor.restart_worker`
-reconnects it.  Reconnecting starts a *fresh session*: the worker
-rebuilds its backend from the hello (state empty, incarnation bumped),
-so the :class:`repro.shard.supervisor.ShardSupervisor` recovers a
-remote worker exactly as it respawns a local one — snapshot restore
-plus journal replay.  An injected ``crash`` fault aborts the serving
-session (state discarded, parent sees EOF) while the listener
-survives, modeling a platform supervisor that restarts the worker
-process on the same address.
+**Sessions.**  A session owns a backend freshly built from the hello;
+ending it (bye, EOF, or an injected crash) discards that backend,
+which is the "worker restarted, state empty" contract the
+:class:`repro.shard.supervisor.ShardSupervisor` recovers from by
+snapshot restore plus journal replay.  A local worker serves one
+session and exits; an injected ``crash`` kills it outright
+(``os._exit``).  A remote worker's listener serves one session after
+another, and an injected ``crash`` aborts only the session (state
+discarded, parent sees EOF) while the listener survives — modeling a
+platform supervisor that restarts the worker on the same address.
 
 Workers trust their parent: the control frames are pickles, so a
 worker must only ever be reachable from the deployment's own router
@@ -57,33 +59,112 @@ import subprocess
 import sys
 import time
 import traceback
+from dataclasses import fields, is_dataclass
+from dataclasses import replace as dataclass_replace
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.config import EngineConfig
-from repro.errors import ConfigError, ReproError, ShardTimeoutError
+from repro.errors import ReproError, ShardTimeoutError
 from repro.shard.backend import BULK_CALLS, ShardBackend
-from repro.shard.executors import (
-    RECOVERABLE_FAILURES,
-    STARTUP_TIMEOUT_FLOOR,
-    Call,
-    ShardWorkerLost,
-)
 from repro.shard.faults import injector_for
-from repro.shard.transport import _extract, _plant
 
-#: How long a connect attempt sleeps before retrying, while the
-#: startup deadline has not expired.  Covers both cold start (worker
-#: still binding its listener) and recovery (a platform supervisor
-#: restarting a crashed worker on the same address).
-_CONNECT_RETRY_SECONDS = 0.05
+#: Every message starts with two lengths: the control frame (padding
+#: included) and the payload that follows it.
+_LENGTHS = struct.Struct(">QQ")
 
-_LENGTH = struct.Struct(">Q")
+#: Payload arrays start on multiples of this many bytes, so no view is
+#: misaligned for its dtype.
+_ALIGN = 8
 
 
-class _SessionCrash(Exception):
-    """Injected ``crash`` inside a tcp worker: abort the session only."""
+# ----------------------------------------------------------------------
+# Payload framing
+# ----------------------------------------------------------------------
+
+
+class _Ref:
+    """Control-frame placeholder for one extracted bulk array."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+
+    def __reduce__(self):
+        return (_Ref, (self.index,))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"_Ref({self.index})"
+
+
+def _extract(obj: Any, arrays: List[np.ndarray]) -> Any:
+    """Replace every ndarray reachable from ``obj`` with a :class:`_Ref`.
+
+    Walks tuples, dict *values* and dataclass fields; lists (and dict
+    keys) are control data by convention and are left untouched.  The
+    collected arrays are made C-contiguous here, so the writer can
+    stream each one as a single buffer.
+    """
+    if isinstance(obj, np.ndarray):
+        arrays.append(np.ascontiguousarray(obj))
+        return _Ref(len(arrays) - 1)
+    if isinstance(obj, tuple):
+        return tuple(_extract(item, arrays) for item in obj)
+    if isinstance(obj, dict):
+        return {key: _extract(value, arrays) for key, value in obj.items()}
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return dataclass_replace(
+            obj,
+            **{
+                f.name: _extract(getattr(obj, f.name), arrays)
+                for f in fields(obj)
+            },
+        )
+    return obj
+
+
+def _plant(obj: Any, views: List[np.ndarray]) -> Any:
+    """Inverse of :func:`_extract`: substitute views for placeholders."""
+    if isinstance(obj, _Ref):
+        return views[obj.index]
+    if isinstance(obj, tuple):
+        return tuple(_plant(item, views) for item in obj)
+    if isinstance(obj, dict):
+        return {key: _plant(value, views) for key, value in obj.items()}
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return dataclass_replace(
+            obj,
+            **{f.name: _plant(getattr(obj, f.name), views) for f in fields(obj)},
+        )
+    return obj
+
+
+def _frame_args(method: str, args: Tuple[Any, ...]):
+    """Split call args into (control, arrays) per the declared bulk spec."""
+    spec = BULK_CALLS.get(method)
+    if spec is None or not spec.arg_positions:
+        return args, []
+    arrays: List[np.ndarray] = []
+    control = tuple(
+        _extract(arg, arrays) if i in spec.arg_positions else arg
+        for i, arg in enumerate(args)
+    )
+    return control, arrays
+
+
+def _frame_result(method: str, result: Any):
+    """Split a call result into (control, arrays) per the bulk spec."""
+    spec = BULK_CALLS.get(method)
+    if spec is None or not spec.bulk_result:
+        return result, []
+    arrays: List[np.ndarray] = []
+    return _extract(result, arrays), arrays
+
+
+# ----------------------------------------------------------------------
+# Messages
+# ----------------------------------------------------------------------
 
 
 def _recv_exact(sock: socket.socket, n: int, deadline: Optional[float]) -> bytearray:
@@ -109,30 +190,33 @@ def _recv_exact(sock: socket.socket, n: int, deadline: Optional[float]) -> bytea
     return buf
 
 
-def _recv_frame(sock: socket.socket, deadline: Optional[float]) -> bytearray:
-    header = _recv_exact(sock, _LENGTH.size, deadline)
-    (length,) = _LENGTH.unpack(bytes(header))
-    if length == 0:
-        return bytearray()
-    return _recv_exact(sock, length, deadline)
+def _padding(size: int) -> int:
+    return -size % _ALIGN
 
 
 def write_message(
     sock: socket.socket, header: Any, arrays: Sequence[np.ndarray]
 ) -> None:
-    """One control frame (pickled, with payload descriptors) + raw arrays.
+    """One message: a pickled control frame, then every array's raw bytes.
 
-    The pickle is built *before* any byte hits the socket, so a
-    pickling failure leaves the stream clean — the error-relay
-    fallback depends on that.
+    The control frame carries the header plus each array's ``(dtype,
+    shape)`` descriptor, padded so the payload that follows starts
+    aligned; the arrays' bytes follow back to back (each aligned), and
+    the whole message leaves in one ``sendall``.  The pickle is built
+    *before* any byte hits the socket, so a pickling failure leaves the
+    stream clean — the error-relay fallback depends on that.
     """
+    arrays = [np.ascontiguousarray(arr) for arr in arrays]
     desc = [(arr.dtype.str, arr.shape) for arr in arrays]
     blob = pickle.dumps((header, desc), protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LENGTH.pack(len(blob)) + blob)
+    control = blob + bytes(_padding(len(blob)))
+    payload: List[Any] = []
+    size = 0
     for arr in arrays:
-        sock.sendall(_LENGTH.pack(arr.nbytes))
-        if arr.nbytes:
-            sock.sendall(memoryview(arr).cast("B"))
+        pad = _padding(size)
+        payload += [bytes(pad), arr]
+        size += pad + arr.nbytes
+    sock.sendall(b"".join([_LENGTHS.pack(len(control), size), control, *payload]))
 
 
 def read_message(
@@ -140,321 +224,37 @@ def read_message(
 ) -> Tuple[Any, List[np.ndarray]]:
     """One message back: the control header plus read-only array views.
 
-    The views own their receive buffers, so — unlike shm views — they
-    stay valid for as long as the caller holds them.
+    The views share the message's receive buffer and keep it alive, so
+    they stay valid for as long as the caller holds them.
     """
-    header, desc = pickle.loads(bytes(_recv_frame(sock, deadline)))
+    control, payload = _LENGTHS.unpack(_recv_exact(sock, _LENGTHS.size, deadline))
+    buf = _recv_exact(sock, control + payload, deadline)
+    # pickle ignores the alignment padding after the control frame.
+    header, desc = pickle.loads(buf)
     views: List[np.ndarray] = []
+    offset = control
     for dtype_str, shape in desc:
         dt = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        buf = _recv_frame(sock, deadline)
-        flat = np.frombuffer(buf, dtype=dt, count=count)
+        offset += _padding(offset - control)
+        count = int(np.prod(shape, dtype=np.int64))
+        flat = np.frombuffer(buf, dtype=dt, count=count, offset=offset)
         flat.flags.writeable = False
         views.append(flat.reshape(shape))
+        offset += count * dt.itemsize
     return header, views
-
-
-def _frame_args(method: str, args: Tuple[Any, ...]):
-    """Split call args into (control, arrays) per the declared bulk spec."""
-    spec = BULK_CALLS.get(method)
-    if spec is None or not spec.arg_positions:
-        return args, []
-    arrays: List[np.ndarray] = []
-    control = tuple(
-        _extract(arg, arrays) if i in spec.arg_positions else arg
-        for i, arg in enumerate(args)
-    )
-    return control, arrays
-
-
-def _frame_result(method: str, result: Any):
-    """Split a call result into (control, arrays) per the bulk spec."""
-    spec = BULK_CALLS.get(method)
-    if spec is None or not spec.bulk_result:
-        return result, []
-    arrays: List[np.ndarray] = []
-    return _extract(result, arrays), arrays
-
-
-class TcpShardExecutor:
-    """One externally launched TCP worker per shard, fan-outs overlapped.
-
-    Mirrors :class:`repro.shard.executors.ProcessShardExecutor`'s call
-    and failure surface (``call`` / ``map`` / ``map_scatter`` /
-    ``restart_worker`` / poisoned channels), but the workers live
-    behind ``shard_workers`` addresses instead of pipes — the executor
-    never spawns or reaps a process, it only (re)connects sessions.
-    """
-
-    def __init__(self, config: EngineConfig, shard_count: int) -> None:
-        self.shard_count = shard_count
-        self.transport = "tcp"
-        self.call_timeout = config.resolved_shard_call_timeout
-        self._fault_spec = config.resolved_shard_fault_plan
-        self._config = config
-        self._addresses = config.resolved_shard_workers
-        if len(self._addresses) != shard_count:
-            raise ConfigError(
-                f"{len(self._addresses)} shard worker addresses for "
-                f"{shard_count} shards; exactly one worker per shard is "
-                f"required"
-            )
-        self._socks: List[Optional[socket.socket]] = [None] * shard_count
-        self._incarnations: List[int] = [0] * shard_count
-        self._poisoned: List[bool] = [False] * shard_count
-        self._closed = False
-        try:
-            for index in range(shard_count):
-                self._connect(index)
-        except BaseException:
-            self.close()
-            raise
-
-    # ------------------------------------------------------------------
-    # Session lifecycle
-    # ------------------------------------------------------------------
-
-    def _startup_timeout(self) -> float:
-        return max(self.call_timeout, STARTUP_TIMEOUT_FLOOR)
-
-    def _connect(self, index: int) -> None:
-        """Open shard ``index``'s session: connect, hello, await ready.
-
-        Retries the connect within the startup deadline, so both a
-        worker that is still binding its listener and one being
-        restarted by its platform supervisor are tolerated.
-        """
-        host, port = self._addresses[index]
-        deadline = time.monotonic() + self._startup_timeout()
-        while True:
-            try:
-                sock = socket.create_connection(
-                    (host, port), timeout=max(deadline - time.monotonic(), 0.001)
-                )
-                break
-            except (OSError, socket.timeout) as exc:
-                if time.monotonic() >= deadline:
-                    raise ShardWorkerLost(
-                        f"cannot reach shard worker {index} at "
-                        f"{host}:{port} within {self._startup_timeout():g}s; "
-                        f"is 'python -m repro shard-worker' running there?"
-                    ) from exc
-                time.sleep(_CONNECT_RETRY_SECONDS)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            write_message(
-                sock,
-                (
-                    "hello",
-                    self._config,
-                    index,
-                    self.shard_count,
-                    self._incarnations[index],
-                    self._fault_spec,
-                ),
-                [],
-            )
-            header, _ = read_message(
-                sock, deadline=time.monotonic() + self._startup_timeout()
-            )
-        except (
-            ConnectionError,
-            OSError,
-            EOFError,
-            pickle.UnpicklingError,
-        ) as exc:
-            sock.close()
-            raise ShardWorkerLost(
-                f"shard worker {index} at {host}:{port} did not complete "
-                f"the session handshake"
-            ) from exc
-        if header[0] == "error":
-            sock.close()
-            raise header[1]
-        if header[0] != "ready" or header[1] != index:
-            sock.close()
-            raise ShardWorkerLost(
-                f"shard worker {index} at {host}:{port} answered the "
-                f"hello with {header!r}"
-            )
-        self._socks[index] = sock
-        self._poisoned[index] = False
-
-    def restart_worker(self, index: int) -> None:
-        """Drop shard ``index``'s session and open a fresh one.
-
-        The recovery primitive the supervisor drives after a death or
-        timeout.  The new session's backend is *empty* (the worker
-        rebuilds it per hello, incarnation bumped); rebuilding its
-        state is the caller's job — the supervisor restores the last
-        snapshot and replays the journal suffix.
-        """
-        self._ensure_open()
-        sock = self._socks[index]
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            self._socks[index] = None
-        self._incarnations[index] += 1
-        self._connect(index)
-
-    def restart_count(self, index: int) -> int:
-        """How many times shard ``index``'s session has been reopened."""
-        return self._incarnations[index]
-
-    # ------------------------------------------------------------------
-    # Calls
-    # ------------------------------------------------------------------
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ReproError(
-                "this tcp shard executor is closed; calls after close() "
-                "are a lifecycle bug in the caller"
-            )
-
-    def _send(self, shard_index: int, method: str, args: Tuple) -> None:
-        if self._poisoned[shard_index]:
-            raise ShardWorkerLost(
-                f"shard worker {shard_index}'s connection is poisoned by "
-                f"an earlier timeout or disconnect; the session must be "
-                f"reopened before it can serve calls again"
-            )
-        sock = self._socks[shard_index]
-        control, arrays = _frame_args(method, args)
-        try:
-            # Bound the send too: a worker that stopped reading (hung
-            # with full buffers) must not block the parent forever.
-            sock.settimeout(self.call_timeout)
-            write_message(sock, ("call", method, control), arrays)
-        except socket.timeout as exc:
-            self._poisoned[shard_index] = True
-            raise ShardTimeoutError(
-                f"shard worker {shard_index} did not accept a call within "
-                f"{self.call_timeout:g}s (shard_call_timeout)"
-            ) from exc
-        except (ConnectionError, BrokenPipeError, OSError) as exc:
-            self._poisoned[shard_index] = True
-            raise ShardWorkerLost(
-                f"shard worker {shard_index} is gone (connection closed)"
-            ) from exc
-
-    def _recv(self, shard_index: int, timeout: Optional[float] = None) -> Any:
-        if timeout is None:
-            timeout = self.call_timeout
-        sock = self._socks[shard_index]
-        try:
-            header, views = read_message(
-                sock, deadline=time.monotonic() + timeout
-            )
-        except EOFError as exc:
-            self._poisoned[shard_index] = True
-            raise ShardWorkerLost(
-                f"shard worker {shard_index} died mid-call"
-            ) from exc
-        # ShardTimeoutError subclasses TimeoutError (an OSError), so it
-        # must be told apart before the generic connection failures.
-        except ShardTimeoutError as exc:
-            self._poisoned[shard_index] = True
-            raise ShardTimeoutError(
-                f"shard worker {shard_index} did not reply within "
-                f"{timeout:g}s (shard_call_timeout); the worker is hung "
-                f"and its session must be reopened before it can serve "
-                f"calls again"
-            ) from exc
-        except (ConnectionError, OSError) as exc:
-            self._poisoned[shard_index] = True
-            raise ShardWorkerLost(
-                f"shard worker {shard_index}'s connection failed mid-call"
-            ) from exc
-        tag = header[0]
-        if tag == "error":
-            raise header[1]
-        return _plant(header[1], views)
-
-    def call(self, shard_index: int, method: str, *args) -> Any:
-        self._ensure_open()
-        self._send(shard_index, method, args)
-        return self._recv(shard_index)
-
-    def map_scatter(self, calls: Sequence[Call]) -> List[Any]:
-        """One outcome per shard: results and *failures*, never a raise.
-
-        Identical contract to the process executor's: every involved
-        shard's reply is drained, and a shard's failure comes back as
-        the exception object in its slot so the supervisor can recover
-        exactly the shards that failed.
-        """
-        self._ensure_open()
-        results: List[Any] = [None] * len(calls)
-        involved = []
-        for index, call in enumerate(calls):
-            if call is None:
-                continue
-            try:
-                self._send(index, call[0], call[1])
-            except RECOVERABLE_FAILURES as exc:
-                results[index] = exc
-                continue
-            involved.append(index)
-        for index in involved:
-            try:
-                results[index] = self._recv(index)
-            except BaseException as exc:  # noqa: BLE001
-                results[index] = exc
-        return results
-
-    def map(self, calls: Sequence[Call]) -> List[Any]:
-        """One result (or ``None``) per shard, all shards in flight at once.
-
-        Raises the first failure in shard order, after draining every
-        reply.
-        """
-        results = self.map_scatter(calls)
-        for outcome in results:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return results
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """End every session; idempotent.  Workers themselves live on —
-        they are external processes serving one session after another.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for index, sock in enumerate(self._socks):
-            if sock is None:
-                continue
-            if not self._poisoned[index]:
-                try:
-                    sock.settimeout(1.0)
-                    write_message(sock, ("bye",), [])
-                except (ConnectionError, OSError, socket.timeout):
-                    pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-            self._socks[index] = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
+
+
+class _SessionCrash(Exception):
+    """Injected ``crash`` inside a listener-served session: abort it only."""
+
+
+def _raise_session_crash() -> None:
+    raise _SessionCrash()
 
 
 def _send_error(sock: socket.socket, exc: BaseException) -> None:
@@ -466,7 +266,7 @@ def _send_error(sock: socket.socket, exc: BaseException) -> None:
     """
     try:
         write_message(sock, ("error", exc), [])
-    except (ConnectionError, BrokenPipeError, OSError):
+    except OSError:
         raise
     except Exception:
         detail = "".join(
@@ -478,27 +278,32 @@ def _send_error(sock: socket.socket, exc: BaseException) -> None:
                 "error",
                 ReproError(
                     f"shard backend raised an exception that could not be "
-                    f"relayed over the socket: {exc!r}\n"
+                    f"relayed over the stream: {exc!r}\n"
                     f"--- original traceback ---\n{detail}"
                 ),
             ),
+            [],
         )
 
 
-def _serve_session(conn: socket.socket) -> None:
+def _serve_session(conn: socket.socket, on_crash=None) -> None:
     """Serve one executor session: hello, then calls until bye/EOF.
 
-    Each session owns a freshly built backend; ending the session (bye,
-    EOF, or an injected crash) discards it — which is exactly the
+    The one worker loop: a spawned local worker runs it as its process
+    target, a listener (:func:`serve_worker`) runs it once per accepted
+    connection.  Each session owns a freshly built backend; ending the
+    session (bye, EOF, or an injected crash) discards it — exactly the
     "worker restarted, state empty" contract the supervisor's
-    snapshot-plus-replay recovery is built for.
+    snapshot-plus-replay recovery is built for.  ``on_crash`` is what
+    an injected ``crash`` does instead of ``os._exit`` (see
+    :meth:`repro.shard.faults.FaultInjector.fire`).
     """
     try:
         header, _ = read_message(conn)
-    except (EOFError, ConnectionError, OSError, pickle.UnpicklingError):
+    except (EOFError, OSError, pickle.UnpicklingError):
         return
     if not isinstance(header, tuple) or header[0] != "hello":
-        with contextlib.suppress(ConnectionError, OSError):
+        with contextlib.suppress(OSError):
             _send_error(
                 conn, ReproError(f"expected a hello frame, got {header!r}")
             )
@@ -508,46 +313,38 @@ def _serve_session(conn: socket.socket) -> None:
         backend = ShardBackend(config, index, count)
         injector = injector_for(fault_spec, index, incarnation)
     except BaseException as exc:  # noqa: BLE001 - relayed to the parent
-        with contextlib.suppress(ConnectionError, OSError):
+        with contextlib.suppress(OSError):
             _send_error(conn, exc)
         return
     try:
-        write_message(conn, ("ready", index), [])
+        write_message(conn, ("ok", index), [])
         while True:
             try:
                 header, views = read_message(conn)
-            except (EOFError, ConnectionError, OSError):
+            except (EOFError, OSError):
                 return
             if not isinstance(header, tuple) or header[0] == "bye":
                 return
             _, method, control = header
-            args = _plant(control, views)
-            if injector is not None:
-                try:
-                    injector.fire(method, on_crash=_raise_session_crash)
-                except _SessionCrash:
-                    # Abort without replying: the parent sees EOF, the
-                    # state dies with the session, and the listener
-                    # lives on to accept the recovery connection.
-                    return
-                except BaseException as exc:  # noqa: BLE001 - injected error
-                    try:
-                        _send_error(conn, exc)
-                    except (ConnectionError, BrokenPipeError, OSError):
-                        return
-                    continue
             try:
-                result = getattr(backend, method)(*args)
+                if injector is not None:
+                    injector.fire(method, on_crash=on_crash)
+                result = getattr(backend, method)(*_plant(control, views))
+            except _SessionCrash:
+                # Abort without replying: the parent sees EOF, the
+                # state dies with the session, and the listener lives
+                # on to accept the recovery connection.
+                return
             except BaseException as exc:  # noqa: BLE001 - relayed
                 try:
                     _send_error(conn, exc)
-                except (ConnectionError, BrokenPipeError, OSError):
+                except OSError:
                     return
                 continue
             control, arrays = _frame_result(method, result)
             try:
                 write_message(conn, ("ok", control), arrays)
-            except (ConnectionError, BrokenPipeError, OSError):
+            except OSError:
                 return
             except Exception as exc:  # noqa: BLE001 - reply framing failed
                 try:
@@ -558,14 +355,10 @@ def _serve_session(conn: socket.socket) -> None:
                             f"{method!r}: {exc!r}"
                         ),
                     )
-                except (ConnectionError, BrokenPipeError, OSError):
+                except OSError:
                     return
     finally:
         backend.close()
-
-
-def _raise_session_crash() -> None:
-    raise _SessionCrash()
 
 
 def serve_worker(
@@ -596,7 +389,7 @@ def serve_worker(
             conn, _ = listener.accept()
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
-                _serve_session(conn)
+                _serve_session(conn, on_crash=_raise_session_crash)
             finally:
                 with contextlib.suppress(OSError):
                     conn.close()
@@ -608,7 +401,7 @@ def serve_worker(
 
 
 # ----------------------------------------------------------------------
-# Local worker launching (tests, CI, the quickstart)
+# Launching listener workers on this host (tests, CI, the quickstart)
 # ----------------------------------------------------------------------
 
 
@@ -681,7 +474,6 @@ def local_workers(count: int):
 
 
 __all__ = [
-    "TcpShardExecutor",
     "local_workers",
     "read_message",
     "serve_worker",

@@ -3,7 +3,7 @@
 A single worker death used to brick the whole sharded engine, and a
 hung worker hung the parent with it.  The
 :class:`ShardSupervisor` sits between the router and the
-:class:`repro.shard.executors.ProcessShardExecutor` and turns both
+:class:`repro.shard.executors.StreamShardExecutor` and turns both
 failures into a bounded, provably-exact recovery:
 
 * **Journal.**  Every state-mutating call
@@ -16,8 +16,8 @@ failures into a bounded, provably-exact recovery:
 * **Recovery.**  When a call fails with a recoverable failure
   (:class:`repro.shard.executors.ShardWorkerLost` — the worker died —
   or :class:`repro.errors.ShardTimeoutError` — it hung), the
-  supervisor has the executor kill the straggler and respawn the
-  worker (fresh pipe, bumped incarnation), replays the shard's
+  supervisor has the executor drop the session and open a fresh one
+  (bumped incarnation), replays the shard's
   journal against the empty backend, and retries the in-flight call.
   Replay rebuilds state *exactly*: at ``rho = 0`` the recovered
   deployment's query and snapshot sequences are bit-identical to an
@@ -43,22 +43,18 @@ worker survived them, nothing needs rebuilding.
   after every ``shard_journal_snapshot_every`` journaled mutations on
   a shard the supervisor drains that worker's state through
   ``export_state`` (points + local ids + epoch + ownership table,
-  deep-copied out of the transport's buffers), stores it as the
-  shard's *snapshot*, and truncates the journal.  The drain is
-  deferred to the shard's *next* dispatch: right after a call the
-  caller still holds that reply's transport views, and an immediate
-  ``export_state`` on the same channel would overwrite them in place.  Recovery then seeds
-  the fresh worker with ``restore_state`` and replays only the journal
+  deep-copied into parent-owned arrays), stores it as the shard's
+  *snapshot*, and truncates the journal.  Recovery then seeds the
+  fresh worker with ``restore_state`` and replays only the journal
   suffix.  At ``rho = 0`` the clustering is a pure function of the
   live point set and local ids survive the restore via the backend's
   id indirection, so snapshot-plus-suffix recovery stays bit-identical
-  — the chaos suite proves it.  ``journal_size`` is therefore bounded
-  by the knob, regardless of history length.
+  — the chaos suite proves it.  ``journal_size`` therefore stays
+  below the knob, regardless of history length.
 
-The journal/replay contract is executor-agnostic: the supervisor
-drives :class:`repro.shard.executors.ProcessShardExecutor` (respawn a
-local worker process) and :class:`repro.shard.rpc.TcpShardExecutor`
-(reconnect a remote worker's session) identically.
+The journal/replay contract is session-agnostic: the executor's
+``restart_worker`` respawns a local worker or reconnects to a remote
+one, and the supervisor recovers both identically.
 """
 
 from __future__ import annotations
@@ -93,7 +89,6 @@ class ShardSupervisor:
         self._snapshots: List[Optional[Dict[str, Any]]] = [
             None
         ] * executor.shard_count
-        self._snapshot_due = [False] * executor.shard_count
         self._restarts = [0] * executor.shard_count
 
     # ------------------------------------------------------------------
@@ -111,7 +106,7 @@ class ShardSupervisor:
 
     @property
     def start_method(self) -> Optional[str]:
-        # The tcp executor never spawns processes, so it has none.
+        # Only local workers are spawned, so remote ones have none.
         return getattr(self._executor, "start_method", None)
 
     @property
@@ -126,10 +121,8 @@ class ShardSupervisor:
     def journal_size(self, shard_index: int) -> int:
         """Journaled mutating calls held for one shard (test surface).
 
-        Bounded by ``snapshot_every``: reaching it schedules a
-        snapshot that truncates the journal back to empty at the
-        shard's next dispatch (deferred so the caller's live reply
-        views are never clobbered).
+        Below ``snapshot_every``: reaching it takes a snapshot that
+        truncates the journal back to empty.
         """
         return len(self._journal[shard_index])
 
@@ -210,25 +203,15 @@ class ShardSupervisor:
         if call[0] in MUTATING_CALLS:
             self._journal[shard_index].append((call[0], call[1]))
             if len(self._journal[shard_index]) >= self.snapshot_every:
-                # Do NOT snapshot here: the caller still holds the
-                # reply views of the call just recorded, and issuing
-                # export_state on the same channel would overwrite
-                # them in place.  Defer to the next dispatch, when the
-                # transport contract says those views are dead.
-                self._snapshot_due[shard_index] = True
-
-    def _flush_due_snapshot(self, shard_index: int) -> None:
-        if self._snapshot_due[shard_index]:
-            self._snapshot_due[shard_index] = False
-            self._take_snapshot(shard_index)
+                self._take_snapshot(shard_index)
 
     def _take_snapshot(self, shard_index: int) -> None:
         """Drain one shard's state and truncate its journal.
 
-        The exported arrays can be transport views (shm pages, receive
-        buffers) valid only until the next call on that shard's
-        channel, so everything is deep-copied into parent-owned memory
-        before the journal lets go of the history it summarizes.
+        The exported arrays are read-only views over receive buffers
+        (or, in-process, the backend's own arrays), so everything is
+        deep-copied into parent-owned memory before the journal lets
+        go of the history it summarizes.
         """
         state = self._attempt(shard_index, "export_state", ())
         self._snapshots[shard_index] = {
@@ -244,7 +227,6 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
 
     def call(self, shard_index: int, method: str, *args) -> Any:
-        self._flush_due_snapshot(shard_index)
         result = self._attempt(shard_index, method, args)
         self._record(shard_index, (method, args))
         return result
@@ -258,9 +240,6 @@ class ShardSupervisor:
         budget (or a relayed backend exception) surfaces — first in
         shard order, matching the executor's own ``map``.
         """
-        for index, call in enumerate(calls):
-            if call is not None:
-                self._flush_due_snapshot(index)
         outcomes = self._executor.map_scatter(calls)
         failure = None
         for index, call in enumerate(calls):

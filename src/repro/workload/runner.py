@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Sequence
 
 from repro import kernels
-# Imported under an alias so the module-level __getattr__ shim below
-# still intercepts (and deprecation-warns on) the historical
-# ``from repro.workload.runner import UnsupportedOperationError``.
+# Private alias: the error's public homes are repro.errors and repro.
 from repro.errors import UnsupportedOperationError as _UnsupportedOperationError
 from repro.workload.workload import Workload, batch_ops
 
@@ -52,21 +49,6 @@ class BulkDynamicClusterer(DynamicClusterer, Protocol):
     def delete_many(self, pids) -> None: ...
 
     def cgroup_by_many(self, pids): ...
-
-
-def __getattr__(name: str):
-    # Deprecated re-export: UnsupportedOperationError moved to
-    # repro.errors (PEP 562 module __getattr__, so importing it from
-    # here still works but warns).
-    if name == "UnsupportedOperationError":
-        warnings.warn(
-            "importing UnsupportedOperationError from repro.workload.runner "
-            "is deprecated; import it from repro.errors (or repro) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _UnsupportedOperationError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _interpolated_percentile(costs: List[float], p: float) -> float:
@@ -100,7 +82,7 @@ class RunResult:
     produced the run, ``shards`` how many engine shards served it
     (1 for a single engine) and ``transport`` how routed batches
     reached those shards (``"inline"`` for the serial executor,
-    ``"pickle"``/``"shm"`` for the process executor, ``""`` for an
+    ``"stream"`` for the process and tcp executors, ``""`` for an
     unsharded run), so benchmark files and reports can attribute
     numbers to the compute substrate and deployment shape that
     generated them.  ``restarts`` counts supervised shard-worker
@@ -338,7 +320,7 @@ def run_workload_engine(
         result = run_workload(engine, workload, max_ops)
     result.shards = engine.config.shards or 1
     if engine.config.shards:
-        result.transport = engine.config.resolved_shard_transport
+        result.transport = engine.transport
         result.restarts = getattr(engine, "restarts", 0)
     fragment_stats = getattr(engine.stats(), "fragment_cache", None)
     if fragment_stats is not None:

@@ -157,7 +157,7 @@ def run_sliding_window(
             result.op_sizes.append(1)
     result.shards = engine.config.shards or 1
     if engine.config.shards:
-        result.transport = engine.config.resolved_shard_transport
+        result.transport = engine.transport
         result.restarts = getattr(engine, "restarts", 0)
     fragment_stats = getattr(engine.stats(), "fragment_cache", None)
     if fragment_stats is not None:

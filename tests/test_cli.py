@@ -313,3 +313,46 @@ class TestServeParser:
         )
         assert code == 2
         assert "sliding window" in capsys.readouterr().err
+
+    def test_shard_transport_flag_is_gone(self):
+        for command in ("serve", "bench"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    [command, "--shards", "2", "--shard-transport", "shm"]
+                )
+
+
+class TestShardedBench:
+    def test_json_reports_the_stream_wire(self, capsys):
+        code = main(
+            ["bench", "--n", "80", "--seed", "5", "--shards", "2",
+             "--shard-executor", "process", "--format", "json",
+             "full-exact"]
+        )
+        assert code == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["transport"] == "stream"
+        entry = record["algorithms"][0]
+        assert entry["transport"] == "stream"
+        assert entry["restarts"] == 0
+        assert "shard_transport" not in entry["config"]
+
+    def test_serial_executor_reports_inline(self, capsys):
+        code = main(
+            ["bench", "--n", "60", "--seed", "5", "--shards", "2",
+             "--format", "json", "full-exact"]
+        )
+        assert code == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["transport"] == "inline"
+        assert record["algorithms"][0]["transport"] == "inline"
+
+    def test_bad_shard_combination_clean_error(self, capsys):
+        code = main(
+            ["bench", "--n", "60", "--shards", "2",
+             "--shard-workers", "127.0.0.1:7000,127.0.0.1:7001",
+             "full-exact"]
+        )
+        assert code == 2
+        assert "shard_workers" in capsys.readouterr().err
+

@@ -167,18 +167,16 @@ class TestInvalidQuery:
             struct.empty_many([(0.0,), (1.0, 2.0, 3.0)])
 
 
-class TestDeprecatedRunnerShim:
-    def test_old_import_location_warns_and_aliases(self):
-        import repro.workload.runner as runner
-
-        with pytest.warns(DeprecationWarning, match="repro.errors"):
-            legacy = runner.UnsupportedOperationError
-        assert legacy is UnsupportedOperationError
-
-    def test_workload_package_reexport_is_clean(self, recwarn):
-        """repro.workload re-exports from the new home without warning."""
+class TestImportLocations:
+    def test_runner_shim_is_gone_and_package_reexport_is_clean(self, recwarn):
+        """The error lives in repro.errors (re-exported by repro and
+        repro.workload); the old repro.workload.runner location is gone."""
         import repro.workload as workload
 
+        with pytest.raises(ImportError):
+            from repro.workload.runner import (  # noqa: F401
+                UnsupportedOperationError as _legacy,
+            )
         assert workload.UnsupportedOperationError is UnsupportedOperationError
         assert not [
             w for w in recwarn.list if w.category is DeprecationWarning

@@ -1,13 +1,14 @@
-"""Executor failure modes, lifecycle guarantees and the shm transport.
+"""Executor failure modes and lifecycle guarantees over the stream wire.
 
-The process executor's contract is easy to state and easy to silently
+The stream executor's contract is easy to state and easy to silently
 break: a worker death surfaces as a :class:`ReproError` (never a hang or
-a desynchronized pipe), any backend exception is relayed even when it
+a desynchronized stream), any backend exception is relayed even when it
 defeats pickling, ``close()`` is idempotent under double-close and after
-worker death, and — the tentpole guarantee — every shared-memory segment
-is unlinked on close no matter what the workers did.  These tests pin
-each of those down, plus the worker-isolation property of the pinned
-``spawn`` start method and the config validation of the new knobs.
+worker death, and a hung local worker is killed — by ``close()`` and by
+``restart_worker`` alike — instead of waited for.  These tests pin each
+of those down on local (``process``) workers, plus the worker-isolation
+property of the pinned ``spawn`` start method and the config validation
+of the fault-tolerance knobs.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from repro.errors import ConfigError, ReproError, ShardTimeoutError
 from repro.shard import executors as executors_mod
 from repro.shard.executors import (
     REAP_TIMEOUT,
-    ProcessShardExecutor,
     SerialShardExecutor,
     ShardWorkerLost,
+    StreamShardExecutor,
 )
-from repro.shard.transport import SegmentPool
 
 
 def _config(**overrides) -> EngineConfig:
@@ -45,15 +45,17 @@ def _points(n: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0.0, 50.0, size=(n, 2))
 
 
-def _shm_entries(names) -> list:
-    """Which of the given segment names actually exist under /dev/shm."""
-    return [name for name in names if os.path.exists(f"/dev/shm/{name}")]
+def _is_gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
-@pytest.fixture(params=("pickle", "shm"))
-def process_executor(request):
-    config = _config(shard_transport=request.param)
-    executor = ProcessShardExecutor(config, 2)
+@pytest.fixture
+def process_executor():
+    executor = StreamShardExecutor(_config(), 2)
     yield executor
     executor.close()
 
@@ -66,7 +68,7 @@ def process_executor(request):
 def test_picklable_exception_relays_and_worker_survives(process_executor):
     with pytest.raises(ReproError, match="injected fault"):
         process_executor.call(0, "fault")
-    # The worker is alive and its pipe in sync: the next call round-trips.
+    # The worker is alive and its stream in sync: the next call round-trips.
     assert process_executor.call(0, "ping") == 0
     assert process_executor.call(1, "ping") == 1
 
@@ -79,7 +81,7 @@ def test_unpicklable_exception_relays_as_repro_error(process_executor):
     # The fallback carries the original exception's repr and traceback.
     assert "injected fault carrying an unpicklable payload" in message
     assert "original traceback" in message
-    # The failed relay did not kill the worker or desync the pipe.
+    # The failed relay did not kill the worker or desync the stream.
     assert process_executor.call(0, "ping") == 0
 
 
@@ -90,8 +92,8 @@ def test_exception_in_map_still_drains_other_shards(process_executor):
     assert all(len(p) == 40 for p in pids)
     with pytest.raises(ReproError, match="injected fault"):
         process_executor.map([("fault", ()), ("ping", ())])
-    # Shard 1's reply was drained despite shard 0's failure; both pipes
-    # still alternate request/reply cleanly.
+    # Shard 1's reply was drained despite shard 0's failure; both
+    # streams still alternate request/reply cleanly.
     assert process_executor.map([("ping", ()), ("ping", ())]) == [0, 1]
 
 
@@ -104,7 +106,7 @@ def test_worker_death_surfaces_as_repro_error_not_hang(process_executor):
     process_executor._procs[0].kill()
     process_executor._procs[0].join(timeout=5)
     with pytest.raises(ReproError, match="shard worker 0"):
-        # Depending on pipe-buffer timing this surfaces at send (pipe
+        # Depending on buffer timing this surfaces at send (stream
         # closed) or at receive (died mid-call); both name the shard.
         for _ in range(3):
             process_executor.call(0, "ping")
@@ -113,79 +115,25 @@ def test_worker_death_surfaces_as_repro_error_not_hang(process_executor):
 
 
 def test_close_after_worker_death_is_clean(process_executor):
-    names = (
-        process_executor._pool.segment_names()
-        if process_executor._pool is not None
-        else []
-    )
     for proc in process_executor._procs:
         proc.kill()
         proc.join(timeout=5)
     process_executor.close()  # must not raise
     process_executor.close()  # and stays idempotent
-    assert _shm_entries(names) == []
+    assert process_executor._procs == [None, None]
+    assert process_executor._socks == [None, None]
 
 
-# ----------------------------------------------------------------------
-# Segment lifecycle (the no-leak guarantee)
-# ----------------------------------------------------------------------
-
-
-def test_shm_segments_exist_in_flight_and_unlink_on_close():
-    config = _config(shard_transport="shm")
-    executor = ProcessShardExecutor(config, 2)
-    try:
-        executor.map(
-            [("ingest", (_points(200),)), ("ingest", (_points(200, seed=1),))]
-        )
-        names = executor._pool.segment_names()
-        assert names, "bulk calls should have leased segments"
-        assert _shm_entries(names) == names
-        # An exception between bulk calls must not strand anything.
-        with pytest.raises(ReproError):
-            executor.call(0, "fault")
-        executor.call(1, "ingest", _points(300, seed=2))
-        names = executor._pool.segment_names()
-    finally:
-        executor.close()
-    assert _shm_entries(names) == []
-    leftover = [
-        entry
-        for entry in os.listdir("/dev/shm")
-        if entry.startswith(f"repro-shm-{os.getpid()}-")
-    ]
-    assert leftover == []
-
-
-def test_segment_pool_reuses_and_grows():
-    pool = SegmentPool()
-    try:
-        first = pool.lease(1000)
-        pool.release(first)
-        assert pool.lease(2000) is first  # free-listed and big enough
-        bigger = pool.lease(first.size + 1)
-        assert bigger is not first
-        assert bigger.size >= first.size + 1
-        assert len(pool) == 2
-        names = pool.segment_names()
-    finally:
-        pool.close()
-        pool.close()  # idempotent
-    assert _shm_entries(names) == []
-
-
-def test_shm_reply_views_are_read_only():
-    config = _config(shard_transport="shm")
-    executor = ProcessShardExecutor(config, 2)
-    try:
-        result = executor.call(0, "ingest", _points(64))
-        assert isinstance(result, np.ndarray)
-        assert result.dtype == np.int64
-        assert not result.flags.writeable
-        empty = executor.call(0, "ingest", np.empty((0, 2)))
-        assert len(empty) == 0
-    finally:
-        executor.close()
+def test_reply_views_are_read_only(process_executor):
+    result = process_executor.call(0, "ingest", _points(64))
+    assert isinstance(result, np.ndarray)
+    assert result.dtype == np.int64
+    assert not result.flags.writeable
+    empty = process_executor.call(0, "ingest", np.empty((0, 2)))
+    assert len(empty) == 0
+    # Each view owns its receive buffer: later traffic leaves it intact.
+    process_executor.call(0, "ingest", _points(64, seed=1))
+    assert result.tolist() == list(range(64))
 
 
 # ----------------------------------------------------------------------
@@ -234,10 +182,10 @@ def test_process_executor_use_after_close_raises(process_executor):
 def test_failed_construction_does_not_leak_workers_or_segments():
     # crash:ping:1 kills every worker at the construction liveness ping,
     # so __init__ itself fails — and must tear down whatever it already
-    # started instead of leaking processes and the segment pool.
-    config = _config(shard_transport="shm", shard_fault_plan="crash:ping:1")
+    # started instead of leaking processes and their streams.
+    config = _config(shard_fault_plan="crash:ping:1")
     with pytest.raises(ReproError, match="shard worker"):
-        ProcessShardExecutor(config, 2)
+        StreamShardExecutor(config, 2)
     deadline = time.monotonic() + REAP_TIMEOUT
     while time.monotonic() < deadline:
         stragglers = [
@@ -249,30 +197,37 @@ def test_failed_construction_does_not_leak_workers_or_segments():
             break
         time.sleep(0.05)
     assert stragglers == []
-    leftover = [
-        entry
-        for entry in os.listdir("/dev/shm")
-        if entry.startswith(f"repro-shm-{os.getpid()}-")
-    ]
-    assert leftover == []
 
 
 def test_close_with_hung_worker_terminates_promptly():
-    # The construction ping is ping #1, so the fault arms on the first
-    # user-issued ping.  After the timeout the channel is poisoned; a
-    # close() must escalate terminate -> kill instead of waiting on the
-    # graceful join, and still release every handle.
+    # The construction ping is each incarnation's ping #1, so the fault
+    # arms on the first user-issued ping — in every incarnation.  After
+    # the timeout the stream is poisoned; restart_worker and close()
+    # must both kill the hung worker instead of waiting out its hang.
     config = _config(
-        shard_fault_plan="hang:ping:2:shard=0", shard_call_timeout=0.5
+        shard_fault_plan="hang:ping:2:shard=0:incarnation=*",
+        shard_call_timeout=0.5,
     )
-    executor = ProcessShardExecutor(config, 2)
-    with pytest.raises(ShardTimeoutError, match="shard worker 0"):
-        executor.call(0, "ping")
-    # The poisoned channel refuses further traffic until a restart.
-    with pytest.raises(ShardWorkerLost, match="poisoned"):
-        executor.call(0, "ping")
-    start = time.monotonic()
-    executor.close()
+    executor = StreamShardExecutor(config, 2)
+    try:
+        with pytest.raises(ShardTimeoutError, match="shard worker 0"):
+            executor.call(0, "ping")
+        # The poisoned stream refuses further traffic until a restart.
+        with pytest.raises(ShardWorkerLost, match="poisoned"):
+            executor.call(0, "ping")
+        hung_pid = executor._procs[0].pid
+        start = time.monotonic()
+        executor.restart_worker(0)
+        assert time.monotonic() - start < executor._startup_timeout()
+        assert time.monotonic() - start < REAP_TIMEOUT + 5.0
+        assert _is_gone(hung_pid)
+        assert executor.restart_count(0) == 1
+        # The respawned worker hangs at its own first user ping.
+        with pytest.raises(ShardTimeoutError, match="shard worker 0"):
+            executor.call(0, "ping")
+        start = time.monotonic()
+    finally:
+        executor.close()
     assert time.monotonic() - start < REAP_TIMEOUT + 5.0
     assert executor._procs == [None, None]
 
@@ -286,7 +241,7 @@ def test_restart_worker_replaces_a_dead_worker(process_executor):
     assert process_executor.restart_count(0) == 0
     process_executor.restart_worker(0)
     assert process_executor.restart_count(0) == 1
-    # The fresh worker answers on a fresh, unpoisoned pipe; the
+    # The fresh worker answers on a fresh, unpoisoned stream; the
     # untouched shard never noticed.
     assert process_executor.call(0, "ping") == 0
     assert process_executor.call(1, "ping") == 1
@@ -309,9 +264,10 @@ def test_sharded_engine_close_reaches_per_shard_engines():
 
 def test_spawn_workers_rebuild_state_fresh(monkeypatch):
     monkeypatch.setattr(executors_mod, "WORKER_SENTINEL", "mutated-in-parent")
-    executor = ProcessShardExecutor(_config(), 2)
+    executor = StreamShardExecutor(_config(), 2)
     try:
         assert executor.start_method == "spawn"
+        assert executor.transport == "stream"
         infos = executor.map([("runtime_info", ()), ("runtime_info", ())])
         for index, info in enumerate(infos):
             assert info["index"] == index
@@ -323,66 +279,20 @@ def test_spawn_workers_rebuild_state_fresh(monkeypatch):
         executor.close()
 
 
-@pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(), reason="platform has no fork"
-)
-def test_fork_start_method_knob_is_honored(monkeypatch):
-    monkeypatch.setattr(executors_mod, "WORKER_SENTINEL", "mutated-in-parent")
-    executor = ProcessShardExecutor(_config(shard_start_method="fork"), 2)
-    try:
-        assert executor.start_method == "fork"
-        info = executor.call(0, "runtime_info")
-        # fork inherits the parent's interpreter state — the very
-        # behavior the spawn default exists to avoid.
-        assert info["sentinel"] == "mutated-in-parent"
-    finally:
-        executor.close()
-
-
 # ----------------------------------------------------------------------
 # Config knobs
 # ----------------------------------------------------------------------
 
 
-def test_transport_knob_requires_sharding_and_process_executor():
-    with pytest.raises(ConfigError, match="shards"):
-        EngineConfig(eps=3.0, minpts=5, shard_transport="shm")
-    with pytest.raises(ConfigError, match="serial executor"):
-        _config(shard_executor="serial", shard_transport="shm")
-    with pytest.raises(ConfigError, match="shard_transport"):
-        _config(shard_transport="carrier-pigeon")
-
-
-def test_start_method_knob_is_validated():
-    with pytest.raises(ConfigError, match="shards"):
-        EngineConfig(eps=3.0, minpts=5, shard_start_method="spawn")
-    with pytest.raises(ConfigError, match="shard_start_method"):
-        _config(shard_start_method="teleport")
-
-
-def test_transport_resolution_chain(monkeypatch):
-    monkeypatch.delenv("REPRO_SHARD_TRANSPORT", raising=False)
-    assert _config().resolved_shard_transport == "shm"
-    assert _config(shard_transport="pickle").resolved_shard_transport == "pickle"
-    monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "pickle")
-    assert _config().resolved_shard_transport == "pickle"
-    # Explicit knob beats the environment.
-    assert _config(shard_transport="shm").resolved_shard_transport == "shm"
-    serial = _config(shard_executor="serial")
-    assert serial.resolved_shard_transport == "inline"
-    monkeypatch.setenv("REPRO_SHARD_TRANSPORT", "morse")
-    with pytest.raises(ConfigError, match="REPRO_SHARD_TRANSPORT"):
-        _config().resolved_shard_transport
-
-
-def test_start_method_resolution_chain(monkeypatch):
-    monkeypatch.delenv("REPRO_SHARD_START_METHOD", raising=False)
-    assert _config().resolved_shard_start_method == "spawn"
-    monkeypatch.setenv("REPRO_SHARD_START_METHOD", "forkserver")
-    assert _config().resolved_shard_start_method == "forkserver"
-    monkeypatch.setenv("REPRO_SHARD_START_METHOD", "teleport")
-    with pytest.raises(ConfigError, match="REPRO_SHARD_START_METHOD"):
-        _config().resolved_shard_start_method
+def test_removed_wire_knobs_are_rejected():
+    """One wire, no knobs: the former transport and start-method fields
+    are unknown configuration, not silently ignored."""
+    for knob in ("shard_transport", "shard_start_method"):
+        with pytest.raises(ConfigError, match="invalid engine configuration"):
+            api.open(**dict(
+                algorithm="full", eps=3.0, minpts=5, shards=2,
+                shard_executor="process", **{knob: "spawn"},
+            ))
 
 
 def test_fault_tolerance_knobs_require_sharding():

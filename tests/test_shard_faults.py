@@ -18,13 +18,12 @@ hand-rolled monkeypatching:
 * an :class:`IngestSession` whose flush dies mid-way is atomic: the
   deployment either recovers and applies the flush exactly, or fails
   loudly on every later merge — never a silent half-application;
-* injected backend *errors* relay without any restart, ``delay``
-  faults inside the deadline are invisible, and no shared-memory
-  segment outlives ``close()`` even after crashes.
+* injected backend *errors* relay without any restart, and ``delay``
+  faults inside the deadline are invisible.
 
-Transport note: tests that do not pin ``shard_transport`` follow
-``REPRO_SHARD_TRANSPORT``, which is how the CI chaos leg sweeps the
-pickle and shm transports over this whole file.
+Every test here runs local (``process``) workers over the stream wire;
+``tests/test_shard_rpc.py`` drives the same faults through tcp
+sessions.
 """
 
 from __future__ import annotations
@@ -436,25 +435,6 @@ def test_session_exit_on_error_discards_instead_of_flushing():
 # ----------------------------------------------------------------------
 # Resource hygiene after chaos
 # ----------------------------------------------------------------------
-
-
-def test_no_shm_leftovers_after_crash_recovery_and_close():
-    sharded = _open_sharded(
-        shard_transport="shm", shard_fault_plan="crash:ingest:2"
-    )
-    try:
-        sharded.ingest(_points(80))
-        sharded.ingest(_points(80, seed=1))  # crash + recovery
-        assert sharded.restarts >= 1
-        sharded.ingest(_points(80, seed=2))  # recovered workers serve on
-    finally:
-        sharded.close()
-    leftover = [
-        entry
-        for entry in os.listdir("/dev/shm")
-        if entry.startswith(f"repro-shm-{os.getpid()}-")
-    ]
-    assert leftover == []
 
 
 def test_timeouts_and_restarts_default_to_off_path_config():
