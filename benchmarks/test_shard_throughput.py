@@ -5,25 +5,28 @@ buys on the paper's own data distribution.  A 2d seed-spreader stream
 of ``REPRO_BENCH_N`` points (default 50000) is ingested in chunks
 through sharded deployments of 1, 2 and 4 shards — the serial executor
 (pure routing + replication overhead) and the process executor (local
-workers on the framed stream wire, bulk arrays as raw frames).  Every
-scenario is
-timed best-of-``REPEATS``: one-shot numbers on shared-host machines mix
-the code's cost with the host's steal-time epochs, and it is the code
-we are benchmarking.
+workers on the framed stream wire) with its request arrays sent both
+ways the wire allows: ``pickle`` (inside the pickled control frame)
+and ``shm`` (out-of-band as raw frames, the path bulk calls take; the
+ids are those of the two transports the stream wire replaced).  Every
+scenario is timed best-of-``REPEATS``: one-shot numbers on shared-host
+machines mix the code's cost with the host's steal-time epochs, and it
+is the code we are benchmarking.
 
 Two regression tripwires guard the transport, sized to what the machine
 can physically show:
 
 * **Transport tax** (no cpu gate — meaningful even on a 1-cpu
-  container): 4 process shards may cost at most ``MAX_TRANSPORT_TAX``
-  times 4 *serial* shards — same routing, same engines, same compute,
-  so the ratio is purely what crossing the process boundary costs.
+  container): 4 process shards with raw-frame requests may cost at
+  most ``MAX_TRANSPORT_TAX`` times 4 *serial* shards — same routing,
+  same engines, same compute, so the ratio is purely what crossing the
+  process boundary costs.
   Pickling whole 160KB messages through 64KB pipes once blew this up
   several-fold (blocking writes ping-ponging across time-sliced
   workers — the negative-scaling bug); raw array frames hold it near
   1x.
 * **Parallel scaling** (needs >= 2 cpus for 4 shards to overlap at
-  all): 4-shard process ingest must be >= 1.0x 1-shard from
+  all): 4-shard raw-frame process ingest must be >= 1.0x 1-shard from
   ``TRIPWIRE_N`` up, and >= 1.5x from ``ASSERT_FLOOR_N`` up on >= 4
   cpus.  On a single cpu the same-executor ratio is bounded by halo
   replication plus scheduler latency (~0.9x is the physical ceiling),
@@ -42,6 +45,7 @@ import os
 import time
 
 import repro.api
+from repro.shard import rpc as rpc_mod
 from repro.workload.config import MINPTS, bench_n, eps_for
 from repro.workload.seed_spreader import seed_spreader
 
@@ -106,12 +110,15 @@ def _one_run(shards: int, executor: str) -> float:
     return elapsed, replication
 
 
-def _ingest_run(shards: int, executor: str):
+def _ingest_run(shards: int, executor: str, payload: str | None = None):
     elapsed, replication = min(
         (_one_run(shards, executor) for _ in range(REPEATS)),
         key=lambda pair: pair[0],
     )
-    _collected[f"{executor} x{shards}"] = (N, elapsed, N / elapsed if elapsed else 0.0, replication)
+    label = f"{executor} x{shards}"
+    if payload is not None:
+        label += f" ({payload})"
+    _collected[label] = (N, elapsed, N / elapsed if elapsed else 0.0, replication)
     return elapsed
 
 
@@ -126,20 +133,39 @@ def test_serial_executor_scaling_overhead():
     )
 
 
-def test_process_pool_ingest_scaling():
-    """The headline: 4 process shards vs 1, same routing and merge."""
-    t1 = _ingest_run(1, "process")
-    _ingest_run(2, "process")
-    t4 = _ingest_run(4, "process")
+def _process_scaling(payload: str) -> float:
+    t1 = _ingest_run(1, "process", payload)
+    _ingest_run(2, "process", payload)
+    t4 = _ingest_run(4, "process", payload)
     speedup = t1 / t4 if t4 > 0 else float("inf")
-    _collected["speedup: x4 over x1"] = (N, t1, t4, speedup)
+    _collected[f"speedup: x4 over x1 ({payload})"] = (N, t1, t4, speedup)
     serial4 = _collected.get("serial x4")
     if serial4 is not None:
         tax = t4 / serial4[1] if serial4[1] else float("inf")
-        _collected["transport tax: x4 over serial x4"] = (
+        _collected[f"transport tax: x4 over serial x4 ({payload})"] = (
             N, serial4[1], t4, tax,
         )
-    tax_entry = _collected.get("transport tax: x4 over serial x4")
+    return speedup
+
+
+def test_process_pool_ingest_scaling_pickle(monkeypatch):
+    """Request arrays pickled in the control frame, kept measured for
+    the comparison with raw frames."""
+    # Empty the parent's bulk-call declarations: every request array
+    # then rides the pickled control frame (spawned workers still
+    # frame their replies raw).
+    monkeypatch.setattr(rpc_mod, "BULK_CALLS", {})
+    speedup = _process_scaling("pickle")
+    # Only guard against degeneration: the tripwires below are sized
+    # for the raw-frame path bulk calls take.
+    assert speedup > 0.2, f"pickled-request ingest degenerated: {speedup:.2f}x"
+
+
+def test_process_pool_ingest_scaling_shm():
+    """The headline: 4 process shards vs 1 with raw-frame requests,
+    same routing and merge."""
+    speedup = _process_scaling("shm")
+    tax_entry = _collected.get("transport tax: x4 over serial x4 (shm)")
     if N >= TRIPWIRE_N and tax_entry is not None:
         # No cpu gate: the process boundary may cost scheduling, never
         # payload serialization.  This is the tripwire that catches the
@@ -177,19 +203,21 @@ def test_zz_write_results():
     # speedup rows read reference/x4 (higher is better); tax rows read
     # x4/reference (lower is better) — the row names say which.
     speed_lines = ["comparison\tn\treference_s\tprocess_x4_s\tratio"]
-    for kind in ("speedup: x4 over x1", "transport tax: x4 over serial x4"):
-        entry = _collected.get(kind)
-        if entry is not None:
-            n, base, cont, ratio = entry
-            speed_lines.append(
-                f"{kind}\t{n}\t{base:.4f}\t{cont:.4f}\t{ratio:.2f}"
-            )
+    for payload in ("pickle", "shm"):
+        for kind in (f"speedup: x4 over x1 ({payload})",
+                     f"transport tax: x4 over serial x4 ({payload})"):
+            entry = _collected.get(kind)
+            if entry is not None:
+                n, base, cont, ratio = entry
+                speed_lines.append(
+                    f"{kind}\t{n}\t{base:.4f}\t{cont:.4f}\t{ratio:.2f}"
+                )
     write_results(
         "shard_throughput.txt",
         f"Sharded ingest throughput: d={DIM}, eps={EPS}, MinPts={MINPTS}, "
         f"rho=0, semi family, chunk={CHUNK}, shard_block={SHARD_BLOCK}, "
         f"best of {REPEATS}, cpus={CPUS}, restarts=0 asserted per run, "
-        f"seed-spreader data ("
+        f"seed-spreader data (shm "
         f"transport-tax tripwire <= {MAX_TRANSPORT_TAX}x at N>={TRIPWIRE_N}; "
         f">=1.0x scaling at cpus>=2; >=1.5x floor at N>={ASSERT_FLOOR_N} "
         f"and cpus>=4)",

@@ -167,16 +167,21 @@ class TestInvalidQuery:
             struct.empty_many([(0.0,), (1.0, 2.0, 3.0)])
 
 
-class TestImportLocations:
-    def test_runner_shim_is_gone_and_package_reexport_is_clean(self, recwarn):
-        """The error lives in repro.errors (re-exported by repro and
-        repro.workload); the old repro.workload.runner location is gone."""
-        import repro.workload as workload
+class TestDeprecatedRunnerShim:
+    """The PEP 562 shim that kept ``repro.workload.runner`` importing
+    the error with a DeprecationWarning is deleted; the error lives in
+    ``repro.errors`` (re-exported by ``repro`` and ``repro.workload``)."""
 
+    def test_old_import_location_is_gone(self):
         with pytest.raises(ImportError):
             from repro.workload.runner import (  # noqa: F401
                 UnsupportedOperationError as _legacy,
             )
+
+    def test_workload_package_reexport_is_clean(self, recwarn):
+        """repro.workload re-exports from the new home without warning."""
+        import repro.workload as workload
+
         assert workload.UnsupportedOperationError is UnsupportedOperationError
         assert not [
             w for w in recwarn.list if w.category is DeprecationWarning

@@ -33,6 +33,7 @@ import pytest
 
 import repro.api as api
 from repro.core.framework import CGroupByResult
+from repro.shard import rpc as rpc_mod
 from repro.validation.legality import check_legality
 from repro.workload.config import eps_for
 from repro.workload.workload import Workload, generate_workload
@@ -299,15 +300,24 @@ def test_rebalance_mid_workload_differential(shard_count):
     assert sorted(got_snap.noise) == sorted(want_snap.noise)
 
 
-def test_process_executor_differential():
-    """Local worker processes merge bit-identically too."""
+@pytest.mark.parametrize("payload", ("pickle", "shm"))
+def test_process_executor_differential(payload, monkeypatch):
+    """Local worker processes merge bit-identically too, whichever way
+    the request arrays cross the stream.  The ids are those of the two
+    transports the stream wire replaced: ``pickle`` empties the
+    parent's bulk-call declarations so request arrays ride the pickled
+    control frame, ``shm`` sends them out-of-band as raw frames."""
+    if payload == "pickle":
+        monkeypatch.setattr(rpc_mod, "BULK_CALLS", {})
     workload = _workload(2, insert_only=False)
     engine = _open_sharded("full", 2, 0.0, 3, executor="process")
     try:
         got = _replay(engine, workload)
         want_queries, want_snap, _ = _reference("full", 2, 0.0, workload)
         _assert_identical_runs(
-            "process executor", got, (want_queries, want_snap)
+            f"process executor ({payload} requests)",
+            got,
+            (want_queries, want_snap),
         )
     finally:
         engine.close()

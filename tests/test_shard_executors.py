@@ -24,6 +24,7 @@ import repro.api as api
 from repro.api.config import EngineConfig
 from repro.errors import ConfigError, ReproError, ShardTimeoutError
 from repro.shard import executors as executors_mod
+from repro.shard import rpc as rpc_mod
 from repro.shard.executors import (
     REAP_TIMEOUT,
     SerialShardExecutor,
@@ -53,9 +54,23 @@ def _is_gone(pid: int) -> bool:
     return False
 
 
-@pytest.fixture
-def process_executor():
+@pytest.fixture(params=("pickle", "shm"))
+def process_executor(request, monkeypatch):
+    """A 2-shard local executor whose sessions have already moved bulk
+    arrays, one way per parameter.  The ids are those of the two
+    transports the stream wire replaced, whose payload paths the
+    variants still cover: ``pickle`` sends the request arrays pickled
+    in the control frame, ``shm`` sends them out-of-band as raw frames
+    (the traffic the shared-memory plane used to carry)."""
+    if request.param == "pickle":
+        # With the parent's bulk-call declarations empty, every request
+        # array rides the pickled control frame; replies, framed by the
+        # unpatched spawned worker, stay raw.
+        monkeypatch.setattr(rpc_mod, "BULK_CALLS", {})
     executor = StreamShardExecutor(_config(), 2)
+    executor.map(
+        [("ingest", (_points(200),)), ("ingest", (_points(200, seed=1),))]
+    )
     yield executor
     executor.close()
 
@@ -124,16 +139,21 @@ def test_close_after_worker_death_is_clean(process_executor):
     assert process_executor._socks == [None, None]
 
 
-def test_reply_views_are_read_only(process_executor):
-    result = process_executor.call(0, "ingest", _points(64))
-    assert isinstance(result, np.ndarray)
-    assert result.dtype == np.int64
-    assert not result.flags.writeable
-    empty = process_executor.call(0, "ingest", np.empty((0, 2)))
-    assert len(empty) == 0
-    # Each view owns its receive buffer: later traffic leaves it intact.
-    process_executor.call(0, "ingest", _points(64, seed=1))
-    assert result.tolist() == list(range(64))
+def test_reply_views_are_read_only():
+    executor = StreamShardExecutor(_config(), 2)
+    try:
+        result = executor.call(0, "ingest", _points(64))
+        assert isinstance(result, np.ndarray)
+        assert result.dtype == np.int64
+        assert not result.flags.writeable
+        empty = executor.call(0, "ingest", np.empty((0, 2)))
+        assert len(empty) == 0
+        # Each view owns its receive buffer: later traffic leaves it
+        # intact.
+        executor.call(0, "ingest", _points(64, seed=1))
+        assert result.tolist() == list(range(64))
+    finally:
+        executor.close()
 
 
 # ----------------------------------------------------------------------
